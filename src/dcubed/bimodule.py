@@ -71,11 +71,18 @@ class BimoduleMap:
 
     def _word_matrix(self, word):
         cached = self._word_cache.get(word)
-        if cached is None:
-            head = self.gen[word[0] - 1]
-            cached = _mat_mul(self.n, head, self._word_matrix(word[1:]))
-            self._word_cache[word] = cached
-        return cached
+        if cached is not None:
+            return cached
+        # extend the longest cached suffix one letter at a time, caching
+        # every suffix on the way (no recursion, so long words are fine)
+        start = 1
+        while word[start:] not in self._word_cache:
+            start += 1
+        mat = self._word_cache[word[start:]]
+        for pos in range(start - 1, -1, -1):
+            mat = _mat_mul(self.n, self.gen[word[pos] - 1], mat)
+            self._word_cache[word[pos:]] = mat
+        return mat
 
     def matrix(self, u: AlgebraElement):
         """The matrix image of u: multiplicative on words, linear overall."""
@@ -91,14 +98,12 @@ class BimoduleMap:
                         out[k][j] = out[k][j] + mat[k][j].scale(coeff)
         return out
 
-    def push(self, u: AlgebraElement, j: int, grade: int = 1):
-        """Decompose u * d^grade x^j as sum_k d^grade x^k * coeff_k.
+    def push(self, u: AlgebraElement, j: int):
+        """Decompose u * d^a x^j as sum_k d^a x^k * coeff_k, for either
+        letter grade a (the same map serves both).
 
-        Returns the nonzero (k, coeff_k) pairs.  The same map serves both
-        letter grades, so ``grade`` only gets validated.
+        Returns the nonzero (k, coeff_k) pairs.
         """
-        if grade not in (1, 2):
-            raise ValueError("letter grade must be 1 or 2")
         if u.n != self.n:
             raise ValueError(f"element has {u.n} generators, map has {self.n}")
         n = self.n

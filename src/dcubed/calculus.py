@@ -36,22 +36,28 @@ class Calculus:
         cached = self._grad_cache.get(word)
         if cached is not None:
             return cached
-        i, rest = word[0], word[1:]
-        rest_elem = AlgebraElement.monomial(self.n, rest)
-        rest_grad = self._word_gradient(rest)
-        grad = []
-        for k in range(1, self.n + 1):
-            # D_k(x^i rest) = delta_k^i rest + sum_j entry(i, j->?,...) D_j(rest)
-            acc = rest_elem if k == i else AlgebraElement.zero(self.n)
-            row = self.bmap.gen[i - 1][k - 1]
-            for j in range(1, self.n + 1):
-                e = row[j - 1]
-                if e and rest_grad[j - 1]:
-                    acc = acc + e * rest_grad[j - 1]
-            grad.append(acc)
-        grad = tuple(grad)
-        self._grad_cache[word] = grad
-        return grad
+        # extend the longest cached suffix one letter at a time, caching
+        # every suffix on the way (no recursion, so long words are fine)
+        start = 1
+        while word[start:] not in self._grad_cache:
+            start += 1
+        rest_grad = self._grad_cache[word[start:]]
+        for pos in range(start - 1, -1, -1):
+            i, rest = word[pos], word[pos + 1:]
+            rest_elem = AlgebraElement.monomial(self.n, rest)
+            grad = []
+            for k in range(1, self.n + 1):
+                # D_k(x^i rest) = delta_k^i rest + sum_j m(x^i)[k][j] D_j(rest)
+                acc = rest_elem if k == i else AlgebraElement.zero(self.n)
+                row = self.bmap.gen[i - 1][k - 1]
+                for j in range(1, self.n + 1):
+                    e = row[j - 1]
+                    if e and rest_grad[j - 1]:
+                        acc = acc + e * rest_grad[j - 1]
+                grad.append(acc)
+            rest_grad = tuple(grad)
+            self._grad_cache[word[pos:]] = rest_grad
+        return rest_grad
 
     def gradient(self, v: AlgebraElement):
         """All right partial derivatives of v, as a tuple indexed by k-1."""

@@ -49,8 +49,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="scalar for the scalar-twist preset (default q)")
     common.add_argument("--format", choices=FORMATS, dest="format",
                         help="output format (default text)")
-    common.add_argument("--grade-bound", type=int, metavar="N")
-    common.add_argument("--word-bound", type=int, metavar="N")
+    common.add_argument("--word-bound", type=int, metavar="N",
+                        help="coefficient word-degree bound for the "
+                             "membership oracle (>= 0)")
     common.add_argument("--size-cap", type=int, metavar="N",
                         help="spanning-set size cap for the membership oracle")
     common.add_argument("--max-steps", type=int, metavar="N",
@@ -109,11 +110,10 @@ def _session(args) -> SessionConfig:
         cfg.seed = args.seed
     if args.order is not None:
         cfg.reduce_order = args.order
-    for flag, attr in (("grade_bound", "grade_bound"), ("word_bound", "word_bound"),
-                       ("size_cap", "size_cap"), ("max_steps", "max_steps")):
-        value = getattr(args, flag)
+    for name in ("word_bound", "size_cap", "max_steps"):
+        value = getattr(args, name)
         if value is not None:
-            setattr(cfg.bounds, attr, value)
+            setattr(cfg.bounds, name, value)
     cfg.validate()
     return cfg
 
@@ -157,8 +157,7 @@ def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
     print(_render(result, cfg.format))
     if not args.mod_ideal:
         return EXIT_OK
-    verdict = ideal.membership(result, cfg.bounds.grade_bound,
-                               cfg.bounds.word_bound)
+    verdict = ideal.membership(result, cfg.bounds.word_bound)
     if verdict.is_member:
         print("member of I_q")
     elif verdict.status == "bound_exceeded":
@@ -186,8 +185,7 @@ def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
 
 def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
     expr = parse_expression(args.expr, ideal.calc)
-    verdict = ideal.membership(expr, cfg.bounds.grade_bound,
-                               cfg.bounds.word_bound)
+    verdict = ideal.membership(expr, cfg.bounds.word_bound)
     if cfg.format == "json":
         obj = {"status": verdict.status}
         if verdict.witness is not None:
@@ -215,7 +213,6 @@ def cmd_verify(args, cfg: SessionConfig, ideal: Ideal) -> int:
     preset_name = cfg.preset or "custom"
     report = run_suite(ideal, suites, seed=cfg.seed,
                        max_word_len=args.max_word_len, preset=preset_name,
-                       grade_bound=cfg.bounds.grade_bound,
                        word_bound=cfg.bounds.word_bound)
     if cfg.format == "json":
         print(json.dumps(report.to_dict(with_timing=args.timings),

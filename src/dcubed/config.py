@@ -6,8 +6,7 @@ A config file looks like::
       "n": 2,
       "preset": "commutative",          // or "xi_entries": [[["x1","0"],...],...]
       "twist": "q",                     // scalar for the scalar-twist preset
-      "bounds": {"grade_bound": null, "word_bound": null,
-                 "max_steps": 10000, "size_cap": 200000},
+      "bounds": {"word_bound": null, "max_steps": 10000, "size_cap": 200000},
       "format": "text",
       "seed": 0,
       "reduce_order": "desc"
@@ -17,6 +16,10 @@ A config file looks like::
 d^a x^k in  x^i * d^a x^j = sum_k d^a x^k * coeff; entries are plain algebra
 expressions (scalars, generators, + - *).  A preset, when present, wins over
 explicit entries.
+
+``n``, ``seed`` and the bounds are plain JSON integers (``true`` is not
+one); ``word_bound`` is null or >= 0, the other bounds are >= 1.  Unknown
+keys, ``bounds.grade_bound`` among them, are rejected.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ FORMATS = ("text", "latex", "json")
 ORDERS = ("asc", "desc")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class Bounds:
-    grade_bound: int | None = None
     word_bound: int | None = None
     max_steps: int = 10_000
     size_cap: int = 200_000
@@ -56,8 +62,12 @@ class SessionConfig:
     reduce_order: str = "desc"
 
     def validate(self):
+        if not _is_int(self.n) or not _is_int(self.seed):
+            raise ConfigError("n and seed must be integers")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if not isinstance(self.twist, str):
+            raise ConfigError("twist must be an expression string")
         if self.preset is None and self.xi_entries is None:
             raise ConfigError("either a preset or xi_entries must be given")
         if self.preset is not None and self.preset not in PRESETS:
@@ -68,14 +78,18 @@ class SessionConfig:
         if self.reduce_order not in ORDERS:
             raise ConfigError(f"reduce_order must be one of {ORDERS}")
         for name in ("max_steps", "size_cap"):
-            if getattr(self.bounds, name) < 1:
-                raise ConfigError(f"bounds.{name} must be >= 1")
+            value = getattr(self.bounds, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"bounds.{name} must be an integer >= 1")
+        word_bound = self.bounds.word_bound
+        if word_bound is not None and (not _is_int(word_bound) or word_bound < 0):
+            raise ConfigError("bounds.word_bound must be null or an integer >= 0")
         return self
 
 
 _TOP_KEYS = {"n", "preset", "twist", "xi_entries", "bounds", "format",
              "seed", "reduce_order"}
-_BOUND_KEYS = {"grade_bound", "word_bound", "max_steps", "size_cap"}
+_BOUND_KEYS = {"word_bound", "max_steps", "size_cap"}
 
 
 def load_config(path: str) -> SessionConfig:
@@ -109,8 +123,6 @@ def load_config(path: str) -> SessionConfig:
     for key in _BOUND_KEYS:
         if key in bounds_raw and bounds_raw[key] is not None:
             setattr(cfg.bounds, key, bounds_raw[key])
-    if not isinstance(cfg.n, int) or not isinstance(cfg.seed, int):
-        raise ConfigError("n and seed must be integers")
     return cfg
 
 

@@ -50,43 +50,3 @@ def d_power(calc: Calculus, w: TensorElement, times: int) -> TensorElement:
         out = d(calc, out)
     return out
 
-
-# Closed-form differentials of a structure-map entry.  These reproduce the
-# expansion one gets by iterating d on the grade-0 element entry(i, j, k);
-# keeping them as independent formulas lets tests cross-check the operator
-# and lets the ideal generators be built without iterating d.
-
-def entry_d1(calc: Calculus, i: int, j: int, k: int) -> TensorElement:
-    """dx^l D_l(e)  for the entry e = m(x^i)[k][j]."""
-    return calc.d1(calc.bmap.entry(i, j, k))
-
-
-def entry_d2(calc: Calculus, i: int, j: int, k: int) -> TensorElement:
-    """d^2 x^l D_l(e) + q dx^l (x) dx^m D_m(D_l(e))."""
-    e = calc.bmap.entry(i, j, k)
-    out = calc.d2_tilde(e)
-    q = q_power(1)
-    for l, dl in enumerate(calc.gradient(e), start=1):
-        for m, dml in enumerate(calc.gradient(dl), start=1):
-            if dml:
-                out._accumulate(((1, l), (1, m)), dml.scale(q))
-    return out
-
-
-def entry_d3(calc: Calculus, i: int, j: int, k: int) -> TensorElement:
-    """q[2]_q d^2x^l (x) dx^m D_m D_l(e) + q^2 dx^l (x) d^2x^m D_m D_l(e)
-    + dx^l (x) dx^m (x) dx^p D_p D_m D_l(e)."""
-    from .scalar import q_integer
-    e = calc.bmap.entry(i, j, k)
-    out = TensorElement(calc.n)
-    w21 = q_power(1) * q_integer(2)
-    w12 = q_power(2)
-    for l, dl in enumerate(calc.gradient(e), start=1):
-        for m, dml in enumerate(calc.gradient(dl), start=1):
-            if dml:
-                out._accumulate(((2, l), (1, m)), dml.scale(w21))
-                out._accumulate(((1, l), (2, m)), dml.scale(w12))
-            for p, dpml in enumerate(calc.gradient(dml), start=1):
-                if dpml:
-                    out._accumulate(((1, l), (1, m), (1, p)), dpml)
-    return out

@@ -11,6 +11,11 @@ structure-map entry on d^a x^k and q for the cube root of unity):
     entry_d3 (grade 3):  d^3(e_k)                       (one generator per k)
     d2x_d2x  (grade 4):  d^2x^i (x) d^2x^j  - q   sum_k d^2x^k (x) d^2(e_k)
 
+:func:`relations` is the one place this table is written as code: it
+builds the five residuals for x^i replaced by any algebra element v, and
+the generators, the congruence checks and the rewrite rules all read them
+from there.
+
 The zeroth-order push-through relations are not emitted: coefficients are
 always stored to the right of the letters, so those relations hold
 identically in the representation and would only contribute zero vectors.
@@ -35,13 +40,50 @@ from .scalar import Scalar, ZERO, ONE, Q, q_power
 from .freealg import AlgebraElement, word_key
 from .tensoralg import TensorElement, tensor_mul, dword_key
 from .calculus import Calculus
-from .differential import entry_d1, entry_d2, entry_d3
+from .differential import d
 
 FAMILIES = ("dx_dx", "dx_d2x", "d2x_dx", "entry_d3", "d2x_d2x")
 
 FAMILY_GRADES = {
     "dx_dx": 2, "dx_d2x": 3, "d2x_dx": 3, "entry_d3": 3, "d2x_d2x": 4,
 }
+
+
+def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
+    """The five relations of the module docstring's table, x^i replaced by v.
+
+    Maps each family to its residual; "entry_d3" maps to the list of
+    d^3(e_k) for k = 1..n, where e_k = m(v)[k][j].  For v = x^i these are
+    exactly the ideal generators attached to (i, j).
+    """
+    n, bmap = calc.n, calc.bmap
+    dv = d(calc, TensorElement.of_algebra(v))
+    d2v = d(calc, dv)
+    matrix = bmap.matrix(v)
+    entry_diffs = []  # per k: (d e_k, d^2 e_k, d^3 e_k)
+    for k in range(n):
+        d1 = d(calc, TensorElement.of_algebra(matrix[k][j - 1]))
+        d2 = d(calc, d1)
+        entry_diffs.append((d1, d2, d(calc, d2)))
+
+    def summed(grade, order):
+        """sum_k d^grade x^k (x) d^order(e_k)."""
+        out = TensorElement(n)
+        for k, diffs in enumerate(entry_diffs, start=1):
+            for w, c in diffs[order - 1].terms.items():
+                out._accumulate(((grade, k),) + w, c)
+        return out
+
+    dx_j = TensorElement.of_letter(n, 1, j)
+    d2x_j = TensorElement.of_letter(n, 2, j)
+    return {
+        "dx_dx": tensor_mul(bmap, dv, dx_j) - summed(1, 1).scale(Q),
+        "dx_d2x": tensor_mul(bmap, dv, d2x_j) - summed(2, 1).scale(q_power(2)),
+        "d2x_dx": (tensor_mul(bmap, d2v, dx_j) + summed(2, 1).scale(ONE - Q)
+                   - summed(1, 2).scale(q_power(2))),
+        "entry_d3": [diffs[2] for diffs in entry_diffs],
+        "d2x_d2x": tensor_mul(bmap, d2v, d2x_j) - summed(2, 2).scale(Q),
+    }
 
 
 class ReduceNotApplicable(ValueError):
@@ -203,48 +245,25 @@ class Ideal:
         self.calc = calc
         self.n = calc.n
         self.size_cap = size_cap
-        self._generator_cache = {}
+        self._relations = {}  # (i, j) -> relations(calc, x^i, j)
         self._nonzero = None
         self._systems = {}
         self._uniform_degree = calc.bmap.uniform_entry_degree()
 
     # -- generators ----------------------------------------------------------
 
-    def _prepend(self, grade, index, t: TensorElement) -> TensorElement:
-        return TensorElement(self.n, {((grade, index),) + w: c
-                                      for w, c in t.terms.items()})
-
     def generator_element(self, family, i, j, k=None) -> TensorElement:
-        key = (family, i, j, k)
-        cached = self._generator_cache.get(key)
-        if cached is not None:
-            return cached
-        calc, n = self.calc, self.n
-        if family == "entry_d3":
-            if k is None:
-                raise ValueError("entry_d3 generators carry an output index k")
-            out = entry_d3(calc, i, j, k)
-        elif family == "dx_dx":
-            out = TensorElement.monomial(n, ((1, i), (1, j)), AlgebraElement.one(n))
-            for kk in range(1, n + 1):
-                out = out - self._prepend(1, kk, entry_d1(calc, i, j, kk)).scale(Q)
-        elif family == "dx_d2x":
-            out = TensorElement.monomial(n, ((1, i), (2, j)), AlgebraElement.one(n))
-            for kk in range(1, n + 1):
-                out = out - self._prepend(2, kk, entry_d1(calc, i, j, kk)).scale(q_power(2))
-        elif family == "d2x_dx":
-            out = TensorElement.monomial(n, ((2, i), (1, j)), AlgebraElement.one(n))
-            for kk in range(1, n + 1):
-                out = out + self._prepend(2, kk, entry_d1(calc, i, j, kk)).scale(ONE - Q)
-                out = out - self._prepend(1, kk, entry_d2(calc, i, j, kk)).scale(q_power(2))
-        elif family == "d2x_d2x":
-            out = TensorElement.monomial(n, ((2, i), (2, j)), AlgebraElement.one(n))
-            for kk in range(1, n + 1):
-                out = out - self._prepend(2, kk, entry_d2(calc, i, j, kk)).scale(Q)
-        else:
+        if family not in FAMILY_GRADES:
             raise ValueError(f"unknown generator family {family!r}")
-        self._generator_cache[key] = out
-        return out
+        rels = self._relations.get((i, j))
+        if rels is None:
+            rels = relations(self.calc, AlgebraElement.generator(self.n, i), j)
+            self._relations[(i, j)] = rels
+        if family != "entry_d3":
+            return rels[family]
+        if k is None or not 1 <= k <= self.n:
+            raise ValueError("entry_d3 generators carry an output index k in 1..n")
+        return rels[family][k - 1]
 
     def generators_for(self, i, j):
         """All generators attached to the index pair (i, j), zeros included."""
@@ -272,15 +291,11 @@ class Ideal:
 
     # -- membership ------------------------------------------------------------
 
-    def membership(self, e: TensorElement, grade_bound=None, word_bound=None) -> Verdict:
+    def membership(self, e: TensorElement, word_bound=None) -> Verdict:
         if e.n != self.n:
             raise ValueError(f"element has {e.n} generators, ideal has {self.n}")
         if e.is_zero:
             return Verdict("member", witness=[])
-        if grade_bound is None:
-            grade_bound = e.max_grade()
-        elif grade_bound < e.max_grade():
-            raise ValueError("grade bound is below the element's grade")
         if word_bound is None:
             word_bound = e.max_word_degree() + self.calc.bmap.max_entry_degree()
 
@@ -444,8 +459,12 @@ class Ideal:
 
     # -- rewriting -------------------------------------------------------------
 
+    _PATTERNS = {"dx_dx": (1, 1), "dx_d2x": (1, 2),
+                 "d2x_dx": (2, 1), "d2x_d2x": (2, 2)}
+
     def _rewrite_rules(self):
-        """Segment replacements oriented pattern -> push-through expansion.
+        """Segment replacements: each two-letter generator, read as
+        pattern -> pattern - generator.
 
         Requires every map entry to have word degree <= 1, so that the
         inserted coefficients are central scalars and the suffix letters
@@ -457,21 +476,14 @@ class Ideal:
                     "rewriting requires structure-map entries of degree <= 1")
         rules = {}
         n = self.n
-        q2 = q_power(2)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                firsts = []  # (k, l, D_l(entry(i,j,k))) with scalar derivative
-                for k in range(1, n + 1):
-                    for l, dl in enumerate(
-                            self.calc.gradient(self.calc.bmap.entry(i, j, k)), start=1):
-                        if dl:
-                            firsts.append((k, l, dl.constant_value()))
-                rules[(1, 1, i, j)] = [(((1, k), (1, l)), Q * s) for k, l, s in firsts]
-                rules[(1, 2, i, j)] = [(((2, k), (1, l)), q2 * s) for k, l, s in firsts]
-                rules[(2, 1, i, j)] = (
-                    [(((2, k), (1, l)), (Q - ONE) * s) for k, l, s in firsts]
-                    + [(((1, k), (2, l)), q2 * s) for k, l, s in firsts])
-                rules[(2, 2, i, j)] = [(((2, k), (2, l)), Q * s) for k, l, s in firsts]
+                for family, (a1, a2) in self._PATTERNS.items():
+                    pattern = TensorElement.monomial(
+                        n, ((a1, i), (a2, j)), AlgebraElement.one(n))
+                    rest = pattern - self.generator_element(family, i, j)
+                    rules[(a1, a2, i, j)] = [(segment, c.constant_value())
+                                             for segment, c in rest.terms.items()]
         return rules
 
     def reduce(self, e: TensorElement, max_steps: int = 10_000,

@@ -68,12 +68,17 @@ def _tokenize(src: str):
 class _Parser:
     """Recursive-descent evaluator producing canonical elements directly."""
 
+    # Factors ('(' ... ')', '-' factor, 'd(' ... ')') may nest this deep;
+    # deeper input is a ParseError instead of a RecursionError.
+    MAX_DEPTH = 200
+
     def __init__(self, src: str, n: int, calc: Calculus | None):
         self.src = src
         self.n = n
         self.calc = calc  # None = algebra-only mode (no letters, no d)
         self.tokens = _tokenize(src)
         self.idx = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -157,6 +162,15 @@ class _Parser:
                 return out
 
     def factor(self) -> TensorElement:
+        if self.depth >= self.MAX_DEPTH:
+            self.fail(f"expression nested deeper than {self.MAX_DEPTH} levels")
+        self.depth += 1
+        try:
+            return self._factor()
+        finally:
+            self.depth -= 1
+
+    def _factor(self) -> TensorElement:
         kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()

@@ -130,14 +130,15 @@ def q_power(k: int) -> Scalar:
     return _Q_POWERS[k % 3]
 
 
+# [n]_q for n mod 3: every full period 1 + q + q^2 of the sum vanishes.
+_Q_INTEGERS = (ZERO, ONE, Scalar(1, 1))
+
+
 def q_integer(n: int) -> Scalar:
     """The q-deformed integer 1 + q + ... + q**(n-1); zero for n == 0."""
     if n < 0:
         raise ValueError("q-integers are defined for n >= 0")
-    out = ZERO
-    for k in range(n):
-        out = out + _Q_POWERS[k % 3]
-    return out
+    return _Q_INTEGERS[n % 3]
 
 
 def _format_rational(r: Fraction) -> str:

@@ -193,7 +193,7 @@ def push_through(bmap: BimoduleMap, u: AlgebraElement, dword: DWord) -> "TensorE
     for grade, index in dword:
         nxt = TensorElement(u.n)
         for prefix, coeff in out.terms.items():
-            for k, pushed in bmap.push(coeff, index, grade):
+            for k, pushed in bmap.push(coeff, index):
                 nxt._accumulate(prefix + ((grade, k),), pushed)
         out = nxt
     return out

@@ -115,3 +115,10 @@ def test_linearity(preset_calc):
     u, v = x(2, 1, 2), x(2, 2)
     from dcubed.scalar import Q
     assert calc.d1(u.scale(Q) + v) == calc.d1(u).scale(Q) + calc.d1(v)
+
+
+def test_long_word_gradient(commutative_calc):
+    # D_1(x1^L) = L x1^(L-1), computed without one stack frame per letter
+    grad = commutative_calc.gradient(x(2, *([1] * 1500)))
+    assert grad[0] == x(2, *([1] * 1499)).scale(1500)
+    assert grad[1].is_zero

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dcubed.cli import main
 
 
@@ -154,3 +156,63 @@ def test_scalar_twist_flag(capsys):
     assert code == 0
     # with twist 2: D_1(x1 x1) = x1 + 2 x1 = 3 x1
     assert out.strip() == "dx1 * 3*x1"
+
+
+def test_deep_nesting_exit_code(capsys):
+    code, _, err = run(capsys, "diff", "(" * 400 + "x1" + ")" * 400)
+    assert code == 2
+    assert "nested deeper" in err
+
+
+def test_diff_long_word(capsys):
+    code, out, _ = run(capsys, "diff", " ".join(["x1"] * 1500))
+    assert code == 0
+    assert out.startswith("dx1 * 1500*x1*x1")
+
+
+def test_verify_json_text_and_exit_code_agree(capsys):
+    argv = ("verify", "--suite", "d3", "--size-cap", "5", "--preset", "commutative")
+    code_text, text, _ = run(capsys, *argv)
+    code_json, out, _ = run(capsys, *argv, "--format", "json")
+    assert code_text == code_json == 3
+    assert "d3: INCONCLUSIVE" in text
+    data = json.loads(out)
+    (suite,) = data["suites"]
+    assert suite["counts"]["inconclusive"] > 0
+    assert suite["passed"] is False
+    assert data["summary"]["passed"] is False
+
+
+@pytest.mark.parametrize("flags", [("--grade-bound", "1"), ("--word-bound", "x")])
+def test_bad_flags_exit_code(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "dx1 (*) dx2", *flags])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": True},
+    {"seed": True},
+    {"n": 2.0},
+    {"twist": 5, "preset": "scalar-twist"},
+    {"bounds": {"size_cap": "big"}},
+    {"bounds": {"size_cap": True}},
+    {"bounds": {"max_steps": 0}},
+    {"bounds": {"word_bound": "x"}},
+    {"bounds": {"word_bound": -1}},
+    {"bounds": {"word_bound": False}},
+    {"bounds": {"grade_bound": 3}},
+])
+def test_config_validation_exit_code(capsys, tmp_path, doc):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps({"preset": "commutative", **doc}))
+    # a member for every n, so a silently accepted value would exit 0
+    code, _, err = run(capsys, "member", "dx1 (*) dx1", "--config", str(path))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_negative_word_bound_flag_exit_code(capsys):
+    code, _, err = run(capsys, "member", "dx1 (*) dx2", "--word-bound", "-1")
+    assert code == 2
+    assert "word_bound" in err

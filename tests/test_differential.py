@@ -7,9 +7,48 @@ from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement
-from dcubed.differential import d, d_power, entry_d1, entry_d2, entry_d3
+from dcubed.differential import d, d_power
 
 from conftest import PRESET_NAMES, random_algebra, random_tensor, x
+
+
+# Closed-form differentials of a structure-map entry e = m(x^i)[k][j]: the
+# expansion that iterating d on the grade-0 element e gives, written out
+# from derivatives alone.  They are the independent reference d_power is
+# checked against; the library builds the ideal generators through d.
+
+def entry_d1(calc, i, j, k):
+    """dx^l D_l(e)."""
+    return calc.d1(calc.bmap.entry(i, j, k))
+
+
+def entry_d2(calc, i, j, k):
+    """d^2 x^l D_l(e) + q dx^l (x) dx^m D_m(D_l(e))."""
+    e = calc.bmap.entry(i, j, k)
+    out = calc.d2_tilde(e)
+    for l, dl in enumerate(calc.gradient(e), start=1):
+        for m, dml in enumerate(calc.gradient(dl), start=1):
+            if dml:
+                out._accumulate(((1, l), (1, m)), dml.scale(Q))
+    return out
+
+
+def entry_d3(calc, i, j, k):
+    """q[2]_q d^2x^l (x) dx^m D_m D_l(e) + q^2 dx^l (x) d^2x^m D_m D_l(e)
+    + dx^l (x) dx^m (x) dx^p D_p D_m D_l(e)."""
+    e = calc.bmap.entry(i, j, k)
+    out = TensorElement(calc.n)
+    w21 = Q * q_integer(2)
+    w12 = q_power(2)
+    for l, dl in enumerate(calc.gradient(e), start=1):
+        for m, dml in enumerate(calc.gradient(dl), start=1):
+            if dml:
+                out._accumulate(((2, l), (1, m)), dml.scale(w21))
+                out._accumulate(((1, l), (2, m)), dml.scale(w12))
+            for p, dpml in enumerate(calc.gradient(dml), start=1):
+                if dpml:
+                    out._accumulate(((1, l), (1, m), (1, p)), dpml)
+    return out
 
 
 def second_iterate_oracle(calc, u):

@@ -28,11 +28,40 @@ def mono(n, dword, coeff=None):
 
 
 def test_commutative_dx_dx_generator(commutative_ideal):
-    # entries are delta^j_k x^i, so d(e_k) collapses to a single letter and
-    # the generator reads dx^1 (x) dx^2 - q dx^2 (x) dx^1
-    got = commutative_ideal.generator_element("dx_dx", 1, 2)
-    expected = mono(2, ((1, 1), (1, 2))) - mono(2, ((1, 2), (1, 1))).scale(Q)
-    assert got == expected
+    # entries are delta^j_k x^i, so d(e_k) = delta^j_k dx^i, d^2(e_k) =
+    # delta^j_k d^2x^i and d^3(e_k) = 0; each family is expanded by hand
+    gen = commutative_ideal.generator_element
+    assert gen("dx_dx", 1, 2) == \
+        mono(2, ((1, 1), (1, 2))) - mono(2, ((1, 2), (1, 1))).scale(Q)
+    assert gen("dx_d2x", 1, 2) == \
+        mono(2, ((1, 1), (2, 2))) - mono(2, ((2, 2), (1, 1))).scale(q_power(2))
+    assert gen("d2x_dx", 1, 2) == mono(2, ((2, 1), (1, 2))) \
+        + mono(2, ((2, 2), (1, 1))).scale(ONE - Q) \
+        - mono(2, ((1, 2), (2, 1))).scale(q_power(2))
+    for k in (1, 2):
+        assert gen("entry_d3", 1, 2, k).is_zero
+    assert gen("d2x_d2x", 1, 2) == \
+        mono(2, ((2, 1), (2, 2))) - mono(2, ((2, 2), (2, 1))).scale(Q)
+
+
+def test_quadratic_entry_d3_generator():
+    # e = entry(1, 1, 1) = x1 x1: every D_2 vanishes, D_1 e = x1 + x1 x1 and
+    # D_1 D_1 e = D_1 D_1 D_1 e = 1 + x1 + x1 x1 =: s; with q[2]_q = -1,
+    # d^3 e = -d^2x1 dx1 s + q^2 dx1 d^2x1 s + dx1 dx1 dx1 s
+    ideal = Ideal(Calculus(quadratic_map()))
+    s = AlgebraElement.one(2) + x(2, 1) + x(2, 1, 1)
+    expected = mono(2, ((1, 1), (2, 1)), s).scale(q_power(2)) \
+        - mono(2, ((2, 1), (1, 1)), s) + mono(2, ((1, 1), (1, 1), (1, 1)), s)
+    assert ideal.generator_element("entry_d3", 1, 1, 1) == expected
+    assert ideal.generator_element("entry_d3", 1, 1, 2).is_zero
+
+
+def test_generator_element_validation(commutative_ideal):
+    with pytest.raises(ValueError):
+        commutative_ideal.generator_element("dx_dy", 1, 2)
+    for k in (None, 0, 3):
+        with pytest.raises(ValueError):
+            commutative_ideal.generator_element("entry_d3", 1, 2, k)
 
 
 def test_constant_preset_degenerate_families():
@@ -110,7 +139,7 @@ def test_word_multiple_stays_in_ideal(preset_ideal):
 
 def test_third_iterate_of_word_is_member(commutative_ideal):
     e = d_power(commutative_ideal.calc, TensorElement.of_algebra(x(2, 1, 2)), 3)
-    verdict = commutative_ideal.membership(e, grade_bound=3, word_bound=2)
+    verdict = commutative_ideal.membership(e, word_bound=2)
     assert verdict.is_member
     assert commutative_ideal.expand_witness(verdict.witness) == e
 
@@ -144,11 +173,6 @@ def test_size_cap_reports_bound_exceeded():
     shifted = tensor_mul(ideal.calc.bmap, mono(2, ((1, 1),)), gen)
     verdict = ideal.membership(shifted)
     assert verdict.status == "bound_exceeded"
-
-
-def test_grade_bound_validation(commutative_ideal):
-    with pytest.raises(ValueError):
-        commutative_ideal.membership(mono(2, ((1, 1), (1, 2))), grade_bound=1)
 
 
 def test_membership_word_bound_limits(commutative_ideal):

@@ -89,6 +89,27 @@ def test_error_positions(calc):
         parse_expression("x1 + %", calc)
 
 
+def test_large_q_integer(calc):
+    assert parse_expression("[1000000]_q", calc) \
+        == TensorElement.of_algebra(AlgebraElement.one(2))
+
+
+@pytest.mark.parametrize("src", ["(" * 400 + "x1" + ")" * 400,
+                                 "-" * 400 + "x1",
+                                 "x1 * (" * 400 + "x2" + ")" * 400],
+                         ids=["parentheses", "minus", "products"])
+def test_deep_nesting_is_a_parse_error(calc, src):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expression(src, calc)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_algebra(src, 2)
+
+
+def test_moderate_nesting_parses(calc):
+    assert parse_expression("(" * 150 + "x1" + ")" * 150, calc) \
+        == TensorElement.of_algebra(x(2, 1))
+
+
 def test_parse_algebra_mode():
     u = parse_algebra("q*x1*x2 - 2", 2)
     assert u == x(2, 1, 2).scale(Q) - AlgebraElement.scalar(2, 2)

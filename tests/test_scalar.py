@@ -40,6 +40,12 @@ def test_q_integers():
         q_integer(-1)
 
 
+def test_q_integer_matches_its_defining_sum():
+    for n in range(13):
+        assert q_integer(n) == sum((q_power(k) for k in range(n)), ZERO)
+    assert q_integer(10**100) == ONE
+
+
 def test_field_axioms_on_random_values():
     rng = random.Random(20260809)
 
