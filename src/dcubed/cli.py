@@ -24,12 +24,11 @@ from .parsing import (
     ParseError, parse_expression, format_tensor, format_tensor_latex,
     tensor_to_obj,
 )
-from .verify import SUITES, run_suite
+from .verify import OUTCOMES, SUITES, run_suite
 
-EXIT_OK = 0
-EXIT_FAILURE = 1
+EXIT_OK = OUTCOMES["member"].exit_code
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
+EXIT_INCONCLUSIVE = OUTCOMES["bound_exceeded"].exit_code
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -82,7 +81,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the identity check suites")
     p_verify.add_argument("--suite", action="append", default=None,
-                          metavar="NAME",
+                          choices=("all",) + SUITES, metavar="NAME",
                           help=f"suite to run (repeatable): all, {', '.join(SUITES)}")
     p_verify.add_argument("--report", metavar="PATH",
                           help="write the JSON report to this file")
@@ -143,14 +142,6 @@ def _witness_lines(witness, n):
     return lines
 
 
-def _membership_exit(verdict) -> int:
-    if verdict.is_member:
-        return EXIT_OK
-    if verdict.status == "bound_exceeded":
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAILURE
-
-
 def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
     expr = parse_expression(args.expr, ideal.calc)
     result = d_power(ideal.calc, expr, args.k)
@@ -165,7 +156,7 @@ def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
     else:
         print("not a member of I_q at the given bounds")
         print(f"residual: {format_tensor(verdict.residual)}")
-    return _membership_exit(verdict)
+    return OUTCOMES[verdict.status].exit_code
 
 
 def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
@@ -205,7 +196,7 @@ def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
             print(f"residual: {format_tensor(verdict.residual)}")
         if verdict.detail:
             print(f"detail: {verdict.detail}")
-    return _membership_exit(verdict)
+    return OUTCOMES[verdict.status].exit_code
 
 
 def cmd_verify(args, cfg: SessionConfig, ideal: Ideal) -> int:
@@ -234,6 +225,8 @@ COMMANDS = {"diff": cmd_diff, "reduce": cmd_reduce,
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.max_word_len < 0:
+        parser.error("--max-word-len must be >= 0")
     try:
         cfg = _session(args)
         bmap = build_map(cfg)

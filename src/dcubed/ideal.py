@@ -34,7 +34,7 @@ bidegree component exactly instead of sweeping everything under a bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .scalar import Scalar, ZERO, ONE, Q, q_power
 from .freealg import AlgebraElement, word_key
@@ -111,7 +111,7 @@ class Generator:
         return f"{self.family}({ix})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessTerm:
     left_dword: tuple
     left_word: tuple
@@ -191,11 +191,8 @@ class _Echelon:
     def _reduce(self, vec, combo):
         """Full normal form: keys without a pivot survive into the remainder."""
         while True:
-            target = None
-            for key in sorted(vec, key=_term_order, reverse=True):
-                if key in self.rows:
-                    target = key
-                    break
+            target = max((key for key in vec if key in self.rows),
+                         key=_term_order, default=None)
             if target is None:
                 return vec, combo
             row_vec, row_combo = self.rows[target]
@@ -247,6 +244,7 @@ class Ideal:
         self.size_cap = size_cap
         self._relations = {}  # (i, j) -> relations(calc, x^i, j)
         self._nonzero = None
+        self._leads = None
         self._systems = {}
         self._uniform_degree = calc.bmap.uniform_entry_degree()
 
@@ -339,13 +337,8 @@ class Ideal:
                 residual = residual + _devectorize(rest, self.n)
                 details.append(f"irreducible remainder at grade {grade}")
             else:
-                for col_id, coeff in sorted(combo.items()):
-                    meta = columns[col_id]
-                    witness.append(WitnessTerm(
-                        left_dword=meta[0], left_word=meta[1],
-                        family=meta[2].family, i=meta[2].i, j=meta[2].j,
-                        k=meta[2].k, right_dword=meta[3], right_word=meta[4],
-                        coeff=coeff))
+                witness.extend(replace(columns[col_id], coeff=coeff)
+                               for col_id, coeff in sorted(combo.items()))
         if status == "member":
             return Verdict("member", witness=witness)
         return Verdict(status, residual=residual, detail="; ".join(details))
@@ -357,14 +350,16 @@ class Ideal:
         such relations), so the generic solve may pick a combination; this
         keeps the canonical witness for the generators themselves.
         """
+        if self._leads is None:
+            self._leads = {}  # lead key -> [(generator, 1 / lead coefficient)]
+            for gen in self.all_generators():
+                gvec = _vectorize(gen.element)
+                glead = max(gvec, key=_term_order)
+                self._leads.setdefault(glead, []).append((gen, gvec[glead].inv()))
         vec = _vectorize(e)
         lead = max(vec, key=_term_order)
-        for gen in self.all_generators():
-            gvec = _vectorize(gen.element)
-            glead = max(gvec, key=_term_order)
-            if glead != lead:
-                continue
-            factor = vec[lead] * gvec[lead].inv()
+        for gen, inv in self._leads.get(lead, ()):
+            factor = vec[lead] * inv
             if gen.element.scale(factor) == e:
                 return WitnessTerm((), (), gen.family, gen.i, gen.j, gen.k,
                                    (), (), factor)
@@ -376,85 +371,75 @@ class Ideal:
         cached = self._systems.get(key)
         if cached is not None:
             return cached
-
-        gens = [g for g in self.all_generators() if g.grade <= grade]
-        if self._count_columns(gens, grade, wdeg, word_bound) > self.size_cap:
+        if self._count_columns(grade, wdeg, word_bound) > self.size_cap:
             return None
 
         echelon = _Echelon()
-        columns = []
-        bmap = self.calc.bmap
-        one = AlgebraElement.one(self.n)
+        columns = []  # column id -> unit-coefficient WitnessTerm
         seen = set()
-        for gen in gens:
-            for g1 in range(0, grade - gen.grade + 1):
-                g2 = grade - gen.grade - g1
-                for left_d in _dwords_of_grade(self.n, g1):
-                    for right_d in _dwords_of_grade(self.n, g2):
-                        for w1, w2 in self._word_pairs(wdeg, word_bound):
-                            m1 = TensorElement.monomial(
-                                self.n, left_d, AlgebraElement.monomial(self.n, w1))
-                            m2 = TensorElement.monomial(
-                                self.n, right_d, AlgebraElement.monomial(self.n, w2))
-                            col = tensor_mul(bmap, m1,
-                                             tensor_mul(bmap, gen.element, m2))
-                            if col.is_zero:
-                                continue
-                            vec = _vectorize(col)
-                            lead = max(vec, key=_term_order)
-                            inv = vec[lead].inv()
-                            sig = tuple(sorted(
-                                ((k, (v * inv).a, (v * inv).b) for k, v in vec.items()),
-                                key=lambda kv: _term_order(kv[0])))
-                            if sig in seen:
-                                continue
-                            seen.add(sig)
-                            col_id = len(columns)
-                            columns.append((left_d, w1, gen, right_d, w2))
-                            echelon.insert(vec, col_id)
+        for term in self._candidates(grade, wdeg, word_bound):
+            col = self._product(term)
+            if col.is_zero:
+                continue
+            vec = _vectorize(col)
+            inv = vec[max(vec, key=_term_order)].inv()
+            scaled = [(k, v * inv) for k, v in vec.items()]
+            sig = tuple(sorted((k, s.a, s.b) for k, s in scaled))
+            if sig in seen:
+                continue
+            seen.add(sig)
+            columns.append(term)
+            echelon.insert(vec, len(columns) - 1)
         self._systems[key] = (echelon, columns)
         return self._systems[key]
 
-    def _word_pairs(self, wdeg, word_bound):
-        if wdeg is not None:
-            # bigraded: word lengths must add up exactly
-            for l1 in range(wdeg + 1):
-                for w1 in _words_of_length(self.n, l1):
-                    for w2 in _words_of_length(self.n, wdeg - l1):
-                        yield w1, w2
-        else:
-            for total in range(word_bound + 1):
-                for l1 in range(total + 1):
-                    for w1 in _words_of_length(self.n, l1):
-                        for w2 in _words_of_length(self.n, total - l1):
-                            yield w1, w2
+    @staticmethod
+    def _word_totals(wdeg, word_bound):
+        """Summed word lengths of left and right: wdeg, or up to word_bound."""
+        return (wdeg,) if wdeg is not None else range(word_bound + 1)
 
-    def _count_columns(self, gens, grade, wdeg, word_bound):
-        if wdeg is not None:
-            word_pairs = sum(self.n ** wdeg for _ in range(wdeg + 1))
-        else:
-            word_pairs = sum((l + 1) * self.n ** l for l in range(word_bound + 1))
-        total = 0
-        for gen in gens:
-            shapes = sum(len(_dwords_of_grade(self.n, g1))
-                         * len(_dwords_of_grade(self.n, grade - gen.grade - g1))
-                         for g1 in range(0, grade - gen.grade + 1))
-            total += shapes * word_pairs
-        return total
+    def _candidates(self, grade, wdeg, word_bound):
+        """The system's unit-coefficient terms left * generator * right."""
+        n = self.n
+        for gen in self.all_generators():
+            for g1 in range(grade - gen.grade + 1):
+                for left_d, right_d in itertools.product(
+                        _dwords_of_grade(n, g1),
+                        _dwords_of_grade(n, grade - gen.grade - g1)):
+                    for total in self._word_totals(wdeg, word_bound):
+                        for l1 in range(total + 1):
+                            for w1, w2 in itertools.product(
+                                    _words_of_length(n, l1),
+                                    _words_of_length(n, total - l1)):
+                                yield WitnessTerm(left_d, w1, gen.family,
+                                                  gen.i, gen.j, gen.k,
+                                                  right_d, w2, ONE)
+
+    def _count_columns(self, grade, wdeg, word_bound):
+        """Closed-form length of :meth:`_candidates`, for the size cap."""
+        n = self.n
+        words = sum((t + 1) * n ** t for t in self._word_totals(wdeg, word_bound))
+        shapes = sum(len(_dwords_of_grade(n, g1))
+                     * len(_dwords_of_grade(n, grade - gen.grade - g1))
+                     for gen in self.all_generators()
+                     for g1 in range(grade - gen.grade + 1))
+        return shapes * words
+
+    def _product(self, term) -> TensorElement:
+        """left * generator * right of a witness term, without its coefficient."""
+        n, bmap = self.n, self.calc.bmap
+        left = TensorElement.monomial(
+            n, term.left_dword, AlgebraElement.monomial(n, term.left_word))
+        right = TensorElement.monomial(
+            n, term.right_dword, AlgebraElement.monomial(n, term.right_word))
+        gen = self.generator_element(term.family, term.i, term.j, term.k)
+        return tensor_mul(bmap, left, tensor_mul(bmap, gen, right))
 
     def expand_witness(self, witness) -> TensorElement:
         """Re-expand a membership witness; must reproduce the query exactly."""
         out = TensorElement.zero(self.n)
-        bmap = self.calc.bmap
         for term in witness:
-            gen = self.generator_element(term.family, term.i, term.j, term.k)
-            m1 = TensorElement.monomial(
-                self.n, term.left_dword,
-                AlgebraElement.monomial(self.n, term.left_word))
-            m2 = TensorElement.monomial(
-                self.n, term.right_dword,
-                AlgebraElement.monomial(self.n, term.right_word))
-            out = out + tensor_mul(bmap, m1, tensor_mul(bmap, gen, m2)).scale(term.coeff)
+            out = out + self._product(term).scale(term.coeff)
         return out
 
     # -- rewriting -------------------------------------------------------------

@@ -140,8 +140,6 @@ class _Parser:
             else:
                 return out
 
-    _FACTOR_STARTS = {"qint", "number", "name", "tensor"}
-
     def _starts_factor(self):
         kind, value, _ = self.peek()
         if kind in ("qint", "number", "name"):
@@ -186,7 +184,10 @@ class _Parser:
             return self._of_scalar(q_integer(n))
         if kind == "number":
             self.advance()
-            return self._of_scalar(Scalar(Fraction(value)))
+            try:
+                return self._of_scalar(Scalar(Fraction(value)))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {value!r}", pos, self.src) from None
         if kind == "name":
             return self.name_factor()
         raise ParseError(f"expected a value, found {value!r}" if value

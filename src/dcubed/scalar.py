@@ -10,8 +10,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-RationalLike = "int | Fraction"
-
 
 class Scalar:
     """An element ``a + b*q`` of Q(q) with q a primitive cube root of unity.
@@ -106,9 +104,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def __str__(self):
         return format_scalar(self)
 
@@ -141,24 +136,20 @@ def q_integer(n: int) -> Scalar:
     return _Q_INTEGERS[n % 3]
 
 
-def _format_rational(r: Fraction) -> str:
-    return str(r)  # Fraction renders as "p" or "p/r"
-
-
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: "0", "5/3", "q", "-2*q", "1 + q", "1/2 - q"."""
     if not s:
         return "0"
     parts = []
     if s.a:
-        parts.append(_format_rational(s.a))
+        parts.append(str(s.a))
     if s.b:
         if s.b == 1:
             q_part = "q"
         elif s.b == -1:
             q_part = "-q"
         else:
-            q_part = f"{_format_rational(s.b)}*q"
+            q_part = f"{s.b}*q"
         if parts:
             if q_part.startswith("-"):
                 parts.append("- " + q_part[1:])
@@ -192,7 +183,10 @@ def parse_scalar(text: str) -> Scalar:
         if m.group("bare_q"):
             out = out + Scalar(0, sign)
         else:
-            coeff = Fraction(m.group("coeff")) * sign
+            try:
+                coeff = Fraction(m.group("coeff")) * sign
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator at position {pos}: {text!r}") from None
             out = out + (Scalar(0, coeff) if m.group("star") else Scalar(coeff))
         seen = True
         pos = m.end()

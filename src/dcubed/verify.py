@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .scalar import q_power, q_integer
@@ -30,6 +31,23 @@ SUITES = ("q-leibniz", "d3", "congruences", "d2-binomial", "generator-diffs")
 
 # Check names of the congruence suite, one per entry of FAMILIES.
 CONGRUENCES = ("dv_dx", "dv_d2x", "d2v_dx", "entry_d3", "d2v_d2x")
+
+
+# What each membership status means, as a check verdict and as a process
+# exit code; a report exits with the code of its worst verdict.
+Outcome = namedtuple("Outcome", "verdict exit_code")
+OUTCOMES = {
+    "member": Outcome("pass", 0),
+    "not_member_at_bound": Outcome("fail", 1),
+    "bound_exceeded": Outcome("inconclusive", 3),
+}
+EXIT_CODES = {o.verdict: o.exit_code for o in OUTCOMES.values()}
+
+
+def _worst(verdicts) -> str:
+    """fail before inconclusive before pass."""
+    verdicts = set(verdicts)
+    return next((v for v in ("fail", "inconclusive") if v in verdicts), "pass")
 
 
 @dataclass
@@ -69,8 +87,12 @@ class CheckReport:
         return [i for i in self.instances if i.verdict == "inconclusive"]
 
     @property
+    def verdict(self) -> str:
+        return _worst(i.verdict for i in self.instances)
+
+    @property
     def passed(self) -> bool:
-        return not self.failed and not self.inconclusive
+        return self.verdict == "pass"
 
     def to_dict(self, with_witness=True, with_timing=False):
         out = {"name": self.name,
@@ -93,12 +115,12 @@ class SuiteReport:
     reports: list = field(default_factory=list)
 
     @property
+    def verdict(self) -> str:
+        return _worst(r.verdict for r in self.reports)
+
+    @property
     def exit_code(self) -> int:
-        if any(r.failed for r in self.reports):
-            return 1
-        if any(r.inconclusive for r in self.reports):
-            return 3
-        return 0
+        return EXIT_CODES[self.verdict]
 
     def to_dict(self, with_witness=True, with_timing=False):
         return {
@@ -107,7 +129,7 @@ class SuiteReport:
             "seed": self.seed,
             "suites": [r.to_dict(with_witness, with_timing) for r in self.reports],
             "summary": {
-                "passed": self.exit_code == 0,
+                "passed": self.verdict == "pass",
                 "failures": sum(len(r.failed) for r in self.reports),
                 "inconclusive": sum(len(r.inconclusive) for r in self.reports),
             },
@@ -117,9 +139,7 @@ class SuiteReport:
         lines = [f"verification report: preset={self.preset} n={self.n} seed={self.seed}"]
         for report in self.reports:
             timing = f"  [{report.duration_s:.2f}s]" if with_timing else ""
-            status = "PASS" if report.passed else (
-                "FAIL" if report.failed else "INCONCLUSIVE")
-            lines.append(f"  {report.name}: {status} "
+            lines.append(f"  {report.name}: {report.verdict.upper()} "
                          f"({len(report.instances)} instances){timing}")
             for inst in report.instances:
                 if inst.verdict != "pass":
@@ -130,10 +150,10 @@ class SuiteReport:
                         lines.append(f"      residual: {inst.residual}")
                     if inst.note:
                         lines.append(f"      note: {inst.note}")
-        lines.append({0: "all checks passed",
-                      1: "CHECK FAILURES PRESENT",
-                      3: "inconclusive results present (raise the bounds)"}
-                     [self.exit_code])
+        lines.append({"pass": "all checks passed",
+                      "fail": "CHECK FAILURES PRESENT",
+                      "inconclusive": "inconclusive results present (raise the bounds)"}
+                     [self.verdict])
         return "\n".join(lines) + "\n"
 
 
@@ -145,16 +165,14 @@ def _membership_instance(ideal, check, inputs, residual,
     if residual.is_zero:
         return CheckInstance(check, inputs, "raw", "pass", witness=[])
     verdict = ideal.membership(residual, word_bound)
+    outcome = OUTCOMES[verdict.status].verdict
     if verdict.is_member:
-        return CheckInstance(check, inputs, "ideal", "pass",
+        return CheckInstance(check, inputs, "ideal", outcome,
                              witness=verdict.witness)
-    if verdict.status == "bound_exceeded":
-        return CheckInstance(check, inputs, "ideal", "inconclusive",
-                             residual=format_tensor(residual),
-                             note=verdict.detail)
-    return CheckInstance(check, inputs, "ideal", "fail",
-                         residual=format_tensor(verdict.residual),
-                         note=verdict.detail)
+    # bound_exceeded has no residual of its own: show the whole query
+    shown = residual if verdict.residual is None else verdict.residual
+    return CheckInstance(check, inputs, "ideal", outcome,
+                         residual=format_tensor(shown), note=verdict.detail)
 
 
 def _raw_instance(check, inputs, residual) -> CheckInstance:

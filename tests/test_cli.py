@@ -183,11 +183,27 @@ def test_verify_json_text_and_exit_code_agree(capsys):
     assert data["summary"]["passed"] is False
 
 
-@pytest.mark.parametrize("flags", [("--grade-bound", "1"), ("--word-bound", "x")])
+@pytest.mark.parametrize("flags", [
+    ("member", "dx1 (*) dx2", "--grade-bound", "1"),
+    ("member", "dx1 (*) dx2", "--word-bound", "x"),
+    ("verify", "--suite", "bogus"),
+    ("verify", "--max-word-len", "-1"),
+])
 def test_bad_flags_exit_code(capsys, flags):
     with pytest.raises(SystemExit) as exc:
-        main(["member", "dx1 (*) dx2", *flags])
+        main(list(flags))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("diff", "x1 + 1/0"),
+    ("member", "1/0 dx1"),
+    ("diff", "--preset", "scalar-twist", "--twist", "1/0", "x1"),
+])
+def test_zero_denominator_exit_code(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "zero denominator" in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -202,6 +218,7 @@ def test_bad_flags_exit_code(capsys, flags):
     {"bounds": {"word_bound": -1}},
     {"bounds": {"word_bound": False}},
     {"bounds": {"grade_bound": 3}},
+    {"preset": None, "n": 1, "xi_entries": [[["1/0"]]]},
 ])
 def test_config_validation_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "session.json"

@@ -175,6 +175,21 @@ def test_size_cap_reports_bound_exceeded():
     assert verdict.status == "bound_exceeded"
 
 
+# Candidate columns of the one system dx1 * dx_dx(1,2) * x1 needs: grade 3
+# from 24 (generator, left letters, right letters) shapes, times the word
+# pairs of total length 1 (bigraded: 4) or of length at most 1 (bounded: 5).
+@pytest.mark.parametrize("name, columns", [("commutative", 96), ("constant", 120)])
+def test_size_cap_boundary(name, columns):
+    calc = Calculus(preset_map(name, 2))
+    bmap = calc.bmap
+    gen = Ideal(calc).generator_element("dx_dx", 1, 2)
+    query = tensor_mul(bmap, tensor_mul(bmap, mono(2, ((1, 1),)), gen),
+                       TensorElement.of_algebra(x(2, 1)))
+    assert Ideal(calc, size_cap=columns).membership(query).is_member
+    assert Ideal(calc, size_cap=columns - 1).membership(query).status \
+        == "bound_exceeded"
+
+
 def test_membership_word_bound_limits(commutative_ideal):
     gen = commutative_ideal.generator_element("dx_dx", 1, 1)
     deep = tensor_mul(commutative_ideal.calc.bmap,

@@ -87,6 +87,9 @@ def test_error_positions(calc):
     assert err.value.position == 3
     with pytest.raises(ParseError):
         parse_expression("x1 + %", calc)
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_expression("x1 + 3/0", calc)
+    assert err.value.position == 5
 
 
 def test_large_q_integer(calc):

@@ -98,6 +98,6 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "q q", "1 +", "x"):
+    for bad in ("", "q q", "1 +", "x", "1/0"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
