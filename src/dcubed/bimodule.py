@@ -12,7 +12,7 @@ construction performs shape checks only.
 
 from __future__ import annotations
 
-from .scalar import Scalar, Q
+from .scalar import ONE, Q
 from .freealg import AlgebraElement
 
 
@@ -148,20 +148,14 @@ class BimoduleMap:
 
 def commutative_map(n: int) -> BimoduleMap:
     """Coefficients commute across letters: x^i d x^j = d x^j x^i."""
-    gen = []
-    for i in range(1, n + 1):
-        xi = AlgebraElement.generator(n, i)
-        gen.append([[xi if k == j else AlgebraElement.zero(n)
-                     for j in range(n)] for k in range(n)])
-    return BimoduleMap(n, gen)
+    return scalar_twist_map(n, ONE)
 
 
 def scalar_twist_map(n: int, c=Q) -> BimoduleMap:
     """Commutation up to a fixed scalar factor: x^i d x^j = c d x^j x^i."""
-    c = Scalar.coerce(c)
     gen = []
     for i in range(1, n + 1):
-        entry = AlgebraElement.generator(n, i).scale(c)
+        entry = AlgebraElement.monomial(n, (i,), c)
         gen.append([[entry if k == j else AlgebraElement.zero(n)
                      for j in range(n)] for k in range(n)])
     return BimoduleMap(n, gen)

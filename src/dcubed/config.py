@@ -18,8 +18,10 @@ expressions (scalars, generators, + - *).  A preset, when present, wins over
 explicit entries.
 
 ``n``, ``seed`` and the bounds are plain JSON integers (``true`` is not
-one); ``word_bound`` is null or >= 0, the other bounds are >= 1.  Unknown
-keys, ``bounds.grade_bound`` among them, are rejected.
+one); ``word_bound`` is null or >= 0, the other bounds are >= 1.  ``n`` is
+at most ``MAX_N`` = 64, from a file or from ``-n``: a structure map holds
+n^3 entries, built before any work starts.  Unknown keys,
+``bounds.grade_bound`` among them, are rejected.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class ConfigError(Exception):
 
 FORMATS = ("text", "latex", "json")
 ORDERS = ("asc", "desc")
+MAX_N = 64
 
 
 def _is_int(value) -> bool:
@@ -64,8 +67,8 @@ class SessionConfig:
     def validate(self):
         if not _is_int(self.n) or not _is_int(self.seed):
             raise ConfigError("n and seed must be integers")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        if not 1 <= self.n <= MAX_N:
+            raise ConfigError(f"n must be between 1 and {MAX_N}")
         if not isinstance(self.twist, str):
             raise ConfigError("twist must be an expression string")
         if self.preset is None and self.xi_entries is None:

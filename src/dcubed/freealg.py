@@ -7,9 +7,9 @@ are ever imposed here: x1*x2 and x2*x1 stay distinct.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
-from .scalar import Scalar, ZERO, ONE
+from .scalar import SCALAR_TYPES, Scalar, ZERO, ONE
 
 Word = tuple  # tuple[int, ...], indices 1..n
 
@@ -19,8 +19,15 @@ def word_key(word: Word):
     return (len(word), word)
 
 
-class AlgebraElement:
-    """A noncommutative polynomial: sparse map from words to nonzero scalars."""
+class _Sparse:
+    """A sparse sum: a map from keys to nonzero coefficients over Q(q).
+
+    The linear structure shared by :class:`AlgebraElement` (words to
+    scalars) and ``TensorElement`` (tensor words to algebra elements).  A
+    key whose coefficients sum to zero is dropped, so equal elements have
+    equal ``terms`` maps.  A subclass sets ``_order`` (the sort key of a
+    term key) and ``_times`` (a coefficient times a nonzero scalar).
+    """
 
     __slots__ = ("n", "terms")
 
@@ -28,105 +35,85 @@ class AlgebraElement:
         self.n = n
         self.terms = {}
         if terms:
-            for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                self._accumulate(word, coeff)
+            coerce = self._coerce
+            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
+                self._accumulate(key, coerce(coeff))
 
-    def _accumulate(self, word: Word, coeff: Scalar):
-        coeff = Scalar.coerce(coeff)
+    @staticmethod
+    def _coerce(coeff):
+        """A constructor argument as a coefficient."""
+        return coeff
+
+    def _promote(self, other):
+        """``other``, not of this class, as an element of it, or None."""
+        return None
+
+    @classmethod
+    def _new(cls, n: int, terms: dict):
+        """An element over a finished map of nonzero coefficients."""
+        out = object.__new__(cls)
+        out.n = n
+        out.terms = terms
+        return out
+
+    def _accumulate(self, key, coeff):
         if not coeff:
             return
-        cur = self.terms.get(word)
+        cur = self.terms.get(key)
         if cur is None:
-            self.terms[word] = coeff
+            self.terms[key] = coeff
         else:
             s = cur + coeff
             if s:
-                self.terms[word] = s
+                self.terms[key] = s
             else:
-                del self.terms[word]
+                del self.terms[key]
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, n: int):
+        return cls._new(n, {})
 
-    @staticmethod
-    def zero(n: int) -> "AlgebraElement":
-        return AlgebraElement(n)
-
-    @staticmethod
-    def one(n: int) -> "AlgebraElement":
-        return AlgebraElement(n, {(): ONE})
-
-    @staticmethod
-    def scalar(n: int, value) -> "AlgebraElement":
-        return AlgebraElement(n, {(): Scalar.coerce(value)})
-
-    @staticmethod
-    def generator(n: int, i: int) -> "AlgebraElement":
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} outside 1..{n}")
-        return AlgebraElement(n, {(i,): ONE})
-
-    @staticmethod
-    def monomial(n: int, word: Word, coeff=ONE) -> "AlgebraElement":
-        for i in word:
-            if not 1 <= i <= n:
-                raise ValueError(f"generator index {i} outside 1..{n}")
-        return AlgebraElement(n, {tuple(word): Scalar.coerce(coeff)})
-
-    # -- ring structure ----------------------------------------------------
-
-    def _check_compatible(self, other: "AlgebraElement"):
+    def _check_compatible(self, other):
         if self.n != other.n:
             raise ValueError(
                 f"mixed generator counts: {self.n} vs {other.n}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = AlgebraElement.scalar(self.n, other)
+        if (other.__class__ is not self.__class__
+                and (other := self._promote(other)) is None):
+            return NotImplemented
         self._check_compatible(other)
-        out = AlgebraElement(self.n, dict(self.terms))
-        for word, coeff in other.terms.items():
-            out._accumulate(word, coeff)
+        out = self._new(self.n, dict(self.terms))
+        for key, coeff in other.terms.items():
+            out._accumulate(key, coeff)
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.n, {w: -c for w, c in self.terms.items()})
+        return self._new(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = AlgebraElement.scalar(self.n, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        self._check_compatible(other)
-        out = AlgebraElement(self.n)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out._accumulate(w1 + w2, c1 * c2)
-        return out
-
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, value) -> "AlgebraElement":
+    def scale(self, value):
         value = Scalar.coerce(value)
         if not value:
-            return AlgebraElement.zero(self.n)
-        return AlgebraElement(self.n,
-                              {w: c * value for w, c in self.terms.items()})
+            return self.zero(self.n)
+        times = self._times
+        return self._new(self.n, {k: times(c, value) for k, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = AlgebraElement.scalar(self.n, other)
-        if not isinstance(other, AlgebraElement):
+        if (other.__class__ is not self.__class__
+                and (other := self._promote(other)) is None):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
@@ -139,6 +126,70 @@ class AlgebraElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _split(self, part_of) -> dict:
+        """Partition the terms by ``part_of(key)``; the parts sum to self."""
+        parts = {}
+        for key, coeff in self.terms.items():
+            parts.setdefault(part_of(key), {})[key] = coeff
+        return {part: self._new(self.n, terms) for part, terms in parts.items()}
+
+    def sorted_terms(self):
+        order = self._order
+        return sorted(self.terms.items(), key=lambda kv: order(kv[0]))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} n={self.n} {self.terms!r}>"
+
+
+class AlgebraElement(_Sparse):
+    """A noncommutative polynomial: sparse map from words to nonzero scalars."""
+
+    __slots__ = ()
+
+    _coerce = staticmethod(Scalar.coerce)
+    _order = staticmethod(word_key)
+    _times = staticmethod(operator.mul)
+
+    def _promote(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            return AlgebraElement.scalar(self.n, other)
+        return None
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def one(n: int) -> "AlgebraElement":
+        return AlgebraElement(n, {(): ONE})
+
+    @staticmethod
+    def scalar(n: int, value) -> "AlgebraElement":
+        return AlgebraElement(n, {(): value})
+
+    @staticmethod
+    def generator(n: int, i: int) -> "AlgebraElement":
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} outside 1..{n}")
+        return AlgebraElement(n, {(i,): ONE})
+
+    @staticmethod
+    def monomial(n: int, word: Word, coeff=ONE) -> "AlgebraElement":
+        for i in word:
+            if not 1 <= i <= n:
+                raise ValueError(f"generator index {i} outside 1..{n}")
+        return AlgebraElement(n, {tuple(word): coeff})
+
+    # -- ring structure ----------------------------------------------------
+
+    def __mul__(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            return self.scale(other)
+        self._check_compatible(other)
+        out = AlgebraElement(self.n)
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                out._accumulate(w1 + w2, c1 * c2)
+        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -154,11 +205,7 @@ class AlgebraElement:
 
     def degree_parts(self) -> dict:
         """Split into word-length-homogeneous summands, keyed by length."""
-        parts = {}
-        for word, coeff in self.terms.items():
-            part = parts.setdefault(len(word), AlgebraElement(self.n))
-            part.terms[word] = coeff
-        return parts
+        return self._split(len)
 
     def constant_value(self):
         """The scalar value, provided no non-unit word occurs."""
@@ -168,9 +215,6 @@ class AlgebraElement:
             return self.terms[()]
         raise ValueError("element is not a scalar multiple of 1")
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
-
     def key(self):
         """Hashable canonical snapshot, used for deduplication."""
         return tuple((w, c.a, c.b) for w, c in self.sorted_terms())
@@ -178,6 +222,3 @@ class AlgebraElement:
     def __str__(self):
         from .parsing import format_algebra
         return format_algebra(self)
-
-    def __repr__(self):
-        return f"<AlgebraElement n={self.n} {self.terms!r}>"

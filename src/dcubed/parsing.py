@@ -21,6 +21,7 @@ back to an equal value.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalar import Scalar, ONE, format_scalar, q_integer
@@ -242,27 +243,34 @@ def parse_algebra(src: str, n: int) -> AlgebraElement:
     return value.terms.get((), AlgebraElement.zero(n))
 
 
-# -- text printers -----------------------------------------------------------
+# -- printers ----------------------------------------------------------------
+
+
+# How one output format spells the pieces of a term: ``scalar``, ``word``
+# and ``letter`` print a Scalar, a nonempty word and a (grade, index)
+# letter; ``tensor``, ``times`` and ``coeff`` go between letters, between a
+# scalar and a word, and between letters and their coefficient; ``group``
+# is the format string around a compound factor.
+_Notation = namedtuple("_Notation", "scalar word letter tensor times coeff group")
+
+_FRACTION = re.compile(r"(-?\d+)/(\d+)")
+
+_TEXT = _Notation(
+    scalar=format_scalar,
+    word=lambda word: "*".join(f"x{i}" for i in word),
+    letter=lambda grade, i: f"dx{i}" if grade == 1 else f"d2x{i}",
+    tensor=" (*) ", times="*", coeff=" * ", group="({})")
+_LATEX = _Notation(
+    scalar=lambda s: _FRACTION.sub(r"\\frac{\1}{\2}", format_scalar(s)).replace("*q", "q"),
+    word=lambda word: "".join(rf"x^{{{i}}}" for i in word),
+    letter=lambda grade, i: rf"dx^{{{i}}}" if grade == 1 else rf"d^{{2}}x^{{{i}}}",
+    tensor=r"\otimes ", times=r"\,", coeff=r"\,", group=r"\left({}\right)")
 
 
 def _split_sign(s: Scalar):
     if s.a < 0 or (s.a == 0 and s.b < 0):
         return "-", -s
     return "+", s
-
-
-def _scalar_factor_text(s: Scalar) -> str:
-    text = format_scalar(s)
-    return f"({text})" if (" " in text) else text
-
-
-def _algebra_term_text(word, coeff: Scalar):
-    sign, mag = _split_sign(coeff)
-    pieces = []
-    if mag != ONE or not word:
-        pieces.append(_scalar_factor_text(mag))
-    pieces.extend(f"x{i}" for i in word)
-    return sign, "*".join(pieces)
 
 
 def _join_signed(parts) -> str:
@@ -275,97 +283,54 @@ def _join_signed(parts) -> str:
     return "".join(out)
 
 
-def format_algebra(u: AlgebraElement) -> str:
+def _term(nt: _Notation, word, coeff: Scalar, head=""):
+    """(sign, text) of the letters ``head`` times ``coeff * word``."""
+    sign, mag = _split_sign(coeff)
+    tail = []
+    if mag != ONE or not (word or head):
+        text = nt.scalar(mag)
+        tail.append(nt.group.format(text) if " " in text else text)
+    if word:
+        tail.append(nt.word(word))
+    if not tail:
+        return sign, head
+    text = nt.times.join(tail)
+    return sign, head + nt.coeff + text if head else text
+
+
+def _algebra(nt: _Notation, u: AlgebraElement) -> str:
     if u.is_zero:
         return "0"
-    return _join_signed(_algebra_term_text(w, c) for w, c in u.sorted_terms())
+    return _join_signed(_term(nt, w, c) for w, c in u.sorted_terms())
 
 
-def _letter_text(grade: int, index: int) -> str:
-    return f"dx{index}" if grade == 1 else f"d2x{index}"
-
-
-def format_tensor(e: TensorElement) -> str:
+def _tensor(nt: _Notation, e: TensorElement) -> str:
     if e.is_zero:
         return "0"
     parts = []
     for dword, coeff in e.sorted_terms():
-        if not dword:
-            parts.extend(_algebra_term_text(w, c) for w, c in coeff.sorted_terms())
-            continue
-        head = " (*) ".join(_letter_text(a, i) for a, i in dword)
-        if len(coeff.terms) == 1:
-            ((word, s),) = coeff.terms.items()
-            sign, mag = _split_sign(s)
-            tail = []
-            if mag != ONE:
-                tail.append(_scalar_factor_text(mag))
-            tail.extend(f"x{i}" for i in word)
-            text = head if not tail else head + " * " + "*".join(tail)
-            parts.append((sign, text))
+        head = nt.tensor.join(nt.letter(a, i) for a, i in dword)
+        if not dword or len(coeff.terms) == 1:
+            parts.extend(_term(nt, w, c, head) for w, c in coeff.sorted_terms())
         else:
-            parts.append(("+", f"{head} * ({format_algebra(coeff)})"))
+            parts.append(("+", head + nt.coeff + nt.group.format(_algebra(nt, coeff))))
     return _join_signed(parts)
 
 
-# -- LaTeX printers ----------------------------------------------------------
+def format_algebra(u: AlgebraElement) -> str:
+    return _algebra(_TEXT, u)
 
 
-def _scalar_latex(s: Scalar) -> str:
-    def rat(r):
-        return str(r) if r.denominator == 1 else \
-            rf"\frac{{{r.numerator}}}{{{r.denominator}}}"
-
-    if not s:
-        return "0"
-    parts = []
-    if s.a:
-        parts.append(rat(s.a))
-    if s.b:
-        if s.b == 1:
-            text = "q"
-        elif s.b == -1:
-            text = "-q"
-        else:
-            text = rat(s.b) + "q"
-        parts.append(("+ " + text if not text.startswith("-") else "- " + text[1:])
-                     if parts else text)
-    return " ".join(parts)
+def format_tensor(e: TensorElement) -> str:
+    return _tensor(_TEXT, e)
 
 
 def format_algebra_latex(u: AlgebraElement) -> str:
-    if u.is_zero:
-        return "0"
-    chunks = []
-    for word, coeff in u.sorted_terms():
-        word_tex = "".join(rf"x^{{{i}}}" for i in word)
-        scalar_tex = _scalar_latex(coeff)
-        if " " in scalar_tex:
-            scalar_tex = rf"\left({scalar_tex}\right)"
-        if word and coeff == ONE:
-            chunks.append(word_tex)
-        else:
-            chunks.append(scalar_tex + (r"\," + word_tex if word else ""))
-    return " + ".join(chunks)
+    return _algebra(_LATEX, u)
 
 
 def format_tensor_latex(e: TensorElement) -> str:
-    if e.is_zero:
-        return "0"
-    chunks = []
-    for dword, coeff in e.sorted_terms():
-        letters = r"\otimes ".join(
-            rf"dx^{{{i}}}" if a == 1 else rf"d^{{2}}x^{{{i}}}" for a, i in dword)
-        coeff_tex = format_algebra_latex(coeff)
-        if not dword:
-            chunks.append(coeff_tex)
-        elif coeff == AlgebraElement.one(e.n):
-            chunks.append(letters)
-        elif len(coeff.terms) > 1 or " + " in coeff_tex:
-            chunks.append(letters + r"\,\left(" + coeff_tex + r"\right)")
-        else:
-            chunks.append(letters + r"\," + coeff_tex)
-    return " + ".join(chunks)
+    return _tensor(_LATEX, e)
 
 
 # -- structured (JSON-ready) serialization ------------------------------------

@@ -28,12 +28,12 @@ class Scalar:
     def coerce(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, SCALAR_TYPES):
             return Scalar(value)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     def __add__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
         other = Scalar.coerce(other)
         return Scalar(self.a + other.a, self.b + other.b)
@@ -41,13 +41,13 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
         other = Scalar.coerce(other)
         return Scalar(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
         return Scalar.coerce(other) - self
 
@@ -57,7 +57,7 @@ class Scalar:
     def __mul__(self, other):
         # (a1 + b1 q)(a2 + b2 q) = a1 a2 + (a1 b2 + a2 b1) q + b1 b2 q^2,
         # then q^2 = -1 - q.
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
         other = Scalar.coerce(other)
         cross = self.b * other.b
@@ -92,10 +92,10 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Scalar:
+            if not isinstance(other, SCALAR_TYPES):
+                return NotImplemented
             other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
@@ -110,6 +110,11 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self.a!r}, {self.b!r})"
 
+
+# What counts as a scalar: promoted to Scalar wherever one is expected.
+# Scalar comes first: a check against Fraction goes through its ABC
+# metaclass, which is slow, and most operands are Scalars.
+SCALAR_TYPES = (Scalar, int, Fraction)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

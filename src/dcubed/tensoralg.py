@@ -14,10 +14,8 @@ the defining push-through relations hold identically in this representation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalar import Scalar
-from .freealg import AlgebraElement
+from .freealg import AlgebraElement, _Sparse
 from .bimodule import BimoduleMap
 
 Letter = tuple  # (grade, index)
@@ -41,36 +39,18 @@ def dword_key(dword: DWord):
             tuple(i for _, i in dword))
 
 
-class TensorElement:
+class TensorElement(_Sparse):
     """Element of the differential tensor algebra in canonical form."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for dword, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                self._accumulate(dword, coeff)
-
-    def _accumulate(self, dword: DWord, coeff: AlgebraElement):
-        if coeff.is_zero:
-            return
-        cur = self.terms.get(dword)
-        if cur is None:
-            self.terms[dword] = coeff
-        else:
-            s = cur + coeff
-            if s:
-                self.terms[dword] = s
-            else:
-                del self.terms[dword]
-
-    # -- constructors ------------------------------------------------------
+    _order = staticmethod(dword_key)
 
     @staticmethod
-    def zero(n: int) -> "TensorElement":
-        return TensorElement(n)
+    def _times(coeff: AlgebraElement, value: Scalar) -> AlgebraElement:
+        return coeff.scale(value)
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of_algebra(u: AlgebraElement) -> "TensorElement":
@@ -88,63 +68,14 @@ class TensorElement:
     def monomial(n: int, dword: DWord, coeff: AlgebraElement) -> "TensorElement":
         return TensorElement(n, {tuple(dword): coeff})
 
-    # -- module structure (multiplication lives in tensor_mul) --------------
-
-    def _check_compatible(self, other: "TensorElement"):
-        if self.n != other.n:
-            raise ValueError(f"mixed generator counts: {self.n} vs {other.n}")
-
-    def __add__(self, other: "TensorElement"):
-        self._check_compatible(other)
-        out = TensorElement(self.n, dict(self.terms))
-        for dword, coeff in other.terms.items():
-            out._accumulate(dword, coeff)
-        return out
-
-    def __neg__(self):
-        return TensorElement(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement"):
-        return self + (-other)
-
-    def scale(self, value) -> "TensorElement":
-        value = Scalar.coerce(value)
-        if not value:
-            return TensorElement.zero(self.n)
-        return TensorElement(self.n,
-                             {w: c.scale(value) for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, self.key()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    # multiplication of elements lives in tensor_mul
+    __mul__ = _Sparse.__rmul__
 
     # -- grading -----------------------------------------------------------
 
     def grade_components(self) -> dict:
         """Partition by tensor-word grade; the parts sum back to the element."""
-        parts = {}
-        for dword, coeff in self.terms.items():
-            part = parts.setdefault(dword_grade(dword), TensorElement(self.n))
-            part.terms[dword] = coeff
-        return parts
+        return self._split(dword_grade)
 
     def homogeneous_grade(self):
         """The common grade, or None when grades are mixed; zero has grade 0."""
@@ -167,14 +98,10 @@ class TensorElement:
         for dword, coeff in self.terms.items():
             g = dword_grade(dword)
             for length, piece in coeff.degree_parts().items():
-                part = parts.setdefault((g, length), TensorElement(self.n))
-                part.terms[dword] = part.terms.get(dword, AlgebraElement.zero(self.n)) + piece
-        return parts
+                parts.setdefault((g, length), {})[dword] = piece
+        return {part: TensorElement._new(self.n, terms) for part, terms in parts.items()}
 
     # -- canonical snapshots -------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: dword_key(kv[0]))
 
     def key(self):
         return tuple((dword, coeff.key()) for dword, coeff in self.sorted_terms())
@@ -182,9 +109,6 @@ class TensorElement:
     def __str__(self):
         from .parsing import format_tensor
         return format_tensor(self)
-
-    def __repr__(self):
-        return f"<TensorElement n={self.n} {self.terms!r}>"
 
 
 def push_through(bmap: BimoduleMap, u: AlgebraElement, dword: DWord) -> "TensorElement":

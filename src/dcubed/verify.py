@@ -60,14 +60,14 @@ class CheckInstance:
     residual: str | None = None
     note: str = ""
 
-    def to_dict(self, with_witness=True):
+    def to_dict(self):
         out = {"check": self.check, "inputs": self.inputs, "tier": self.tier,
                "verdict": self.verdict}
         if self.note:
             out["note"] = self.note
         if self.residual is not None:
             out["residual"] = self.residual
-        if with_witness and self.witness is not None:
+        if self.witness is not None:
             out["witness"] = [t.to_dict() for t in self.witness]
         return out
 
@@ -94,14 +94,14 @@ class CheckReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self, with_witness=True, with_timing=False):
+    def to_dict(self, with_timing=False):
         out = {"name": self.name,
                "passed": self.passed,
                "counts": {"pass": len(self.instances) - len(self.failed)
                           - len(self.inconclusive),
                           "fail": len(self.failed),
                           "inconclusive": len(self.inconclusive)},
-               "instances": [i.to_dict(with_witness) for i in self.instances]}
+               "instances": [i.to_dict() for i in self.instances]}
         if with_timing:
             out["duration_s"] = round(self.duration_s, 3)
         return out
@@ -122,12 +122,12 @@ class SuiteReport:
     def exit_code(self) -> int:
         return EXIT_CODES[self.verdict]
 
-    def to_dict(self, with_witness=True, with_timing=False):
+    def to_dict(self, with_timing=False):
         return {
             "preset": self.preset,
             "n": self.n,
             "seed": self.seed,
-            "suites": [r.to_dict(with_witness, with_timing) for r in self.reports],
+            "suites": [r.to_dict(with_timing) for r in self.reports],
             "summary": {
                 "passed": self.verdict == "pass",
                 "failures": sum(len(r.failed) for r in self.reports),
@@ -135,12 +135,12 @@ class SuiteReport:
             },
         }
 
-    def to_text(self, with_timing=True) -> str:
+    def to_text(self) -> str:
         lines = [f"verification report: preset={self.preset} n={self.n} seed={self.seed}"]
         for report in self.reports:
-            timing = f"  [{report.duration_s:.2f}s]" if with_timing else ""
             lines.append(f"  {report.name}: {report.verdict.upper()} "
-                         f"({len(report.instances)} instances){timing}")
+                         f"({len(report.instances)} instances)"
+                         f"  [{report.duration_s:.2f}s]")
             for inst in report.instances:
                 if inst.verdict != "pass":
                     desc = ", ".join(f"{k}={v}" for k, v in inst.inputs.items())

@@ -219,6 +219,7 @@ def test_zero_denominator_exit_code(capsys, argv):
     {"bounds": {"word_bound": False}},
     {"bounds": {"grade_bound": 3}},
     {"preset": None, "n": 1, "xi_entries": [[["1/0"]]]},
+    {"n": 65},
 ])
 def test_config_validation_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "session.json"
@@ -233,3 +234,9 @@ def test_negative_word_bound_flag_exit_code(capsys):
     code, _, err = run(capsys, "member", "dx1 (*) dx2", "--word-bound", "-1")
     assert code == 2
     assert "word_bound" in err
+
+
+def test_n_above_cap_flag_exit_code(capsys):
+    code, _, err = run(capsys, "diff", "x1", "-n", "65")
+    assert code == 2
+    assert "n must be" in err

@@ -68,6 +68,9 @@ def test_scalar_interplay():
     assert 2 * u == u + u
     assert u - u == AlgebraElement.zero(2)
     assert u * Q == Q * u
+    # a bare scalar is promoted to a multiple of the unit
+    assert u - 1 == x(2, 1) and 1 + x(2, 1) == u and u - x(2, 1) == 1
+    assert Q - u == AlgebraElement.scalar(2, Q - 1) - x(2, 1)
 
 
 def test_homogeneity_helpers():

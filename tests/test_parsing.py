@@ -152,6 +152,11 @@ def test_latex_output(calc):
     tex = format_tensor_latex(e)
     assert tex == r"d^{2}x^{1}\otimes dx^{2}\,x^{1}"
     assert format_tensor_latex(TensorElement.zero(2)) == "0"
+    # signs follow the text form's rule
+    for src, tex in (("x1 - x2", r"x^{1} - x^{2}"),
+                     ("-q d2x2", r"-d^{2}x^{2}\,q"),
+                     ("dx1 * (x1 - 2 x2)", r"dx^{1}\,\left(x^{1} - 2\,x^{2}\right)")):
+        assert format_tensor_latex(parse_expression(src, calc)) == tex
 
 
 def test_structured_output(calc):

@@ -157,3 +157,8 @@ def test_scaling():
     assert e.scale(0).is_zero
     assert e.scale(Q) + e.scale(-Q) == TensorElement.zero(2)
     assert Q * e == e * Q
+    # scalars act by scaling but are not tensor elements
+    with pytest.raises(TypeError):
+        e + 1
+    with pytest.raises(TypeError):
+        e - Q
