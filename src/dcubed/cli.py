@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .calculus import Calculus
 from .config import (
@@ -109,10 +110,10 @@ def _session(args) -> SessionConfig:
         cfg.seed = args.seed
     if args.order is not None:
         cfg.reduce_order = args.order
-    for name in ("word_bound", "size_cap", "max_steps"):
-        value = getattr(args, name)
+    for bound in fields(cfg.bounds):
+        value = getattr(args, bound.name)
         if value is not None:
-            setattr(cfg.bounds, name, value)
+            setattr(cfg.bounds, bound.name, value)
     cfg.validate()
     return cfg
 
@@ -148,7 +149,7 @@ def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
     print(_render(result, cfg.format))
     if not args.mod_ideal:
         return EXIT_OK
-    verdict = ideal.membership(result, cfg.bounds.word_bound)
+    verdict = ideal.membership(result)
     if verdict.is_member:
         print("member of I_q")
     elif verdict.status == "bound_exceeded":
@@ -162,8 +163,7 @@ def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
 def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
     expr = parse_expression(args.expr, ideal.calc)
     try:
-        result = ideal.reduce(expr, max_steps=cfg.bounds.max_steps,
-                              order=cfg.reduce_order)
+        result = ideal.reduce(expr, order=cfg.reduce_order)
     except ReduceNotApplicable as err:
         print(f"reduce refused: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -176,7 +176,7 @@ def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
 
 def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
     expr = parse_expression(args.expr, ideal.calc)
-    verdict = ideal.membership(expr, cfg.bounds.word_bound)
+    verdict = ideal.membership(expr)
     if cfg.format == "json":
         obj = {"status": verdict.status}
         if verdict.witness is not None:
@@ -203,8 +203,7 @@ def cmd_verify(args, cfg: SessionConfig, ideal: Ideal) -> int:
     suites = tuple(args.suite) if args.suite else ("all",)
     preset_name = cfg.preset or "custom"
     report = run_suite(ideal, suites, seed=cfg.seed,
-                       max_word_len=args.max_word_len, preset=preset_name,
-                       word_bound=cfg.bounds.word_bound)
+                       max_word_len=args.max_word_len, preset=preset_name)
     if cfg.format == "json":
         print(json.dumps(report.to_dict(with_timing=args.timings),
                          sort_keys=True))
@@ -230,7 +229,7 @@ def main(argv=None) -> int:
     try:
         cfg = _session(args)
         bmap = build_map(cfg)
-        ideal = Ideal(Calculus(bmap), size_cap=cfg.bounds.size_cap)
+        ideal = Ideal(Calculus(bmap), cfg.bounds)
         return COMMANDS[args.command](args, cfg, ideal)
     except (ConfigError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)

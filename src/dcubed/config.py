@@ -6,7 +6,7 @@ A config file looks like::
       "n": 2,
       "preset": "commutative",          // or "xi_entries": [[["x1","0"],...],...]
       "twist": "q",                     // scalar for the scalar-twist preset
-      "bounds": {"word_bound": null, "max_steps": 10000, "size_cap": 200000},
+      "bounds": {"word_bound": null, "max_steps": null, "size_cap": null},
       "format": "text",
       "seed": 0,
       "reduce_order": "desc"
@@ -18,18 +18,21 @@ expressions (scalars, generators, + - *).  A preset, when present, wins over
 explicit entries.
 
 ``n``, ``seed`` and the bounds are plain JSON integers (``true`` is not
-one); ``word_bound`` is null or >= 0, the other bounds are >= 1.  ``n`` is
-at most ``MAX_N`` = 64, from a file or from ``-n``: a structure map holds
-n^3 entries, built before any work starts.  Unknown keys,
+one); ``word_bound`` is >= 0, the other bounds are >= 1.  A null or missing
+bound keeps its default from :class:`dcubed.ideal.Bounds` (for
+``word_bound``, None: a bound derived per query).
+``n`` is at most ``MAX_N`` = 64, from a file or from ``-n``: a structure
+map holds n^3 entries, built before any work starts.  Unknown keys,
 ``bounds.grade_bound`` among them, are rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bimodule import BimoduleMap, PRESETS, preset_map
+from .ideal import Bounds, ORDERS
 from .parsing import ParseError, parse_algebra
 
 
@@ -38,19 +41,11 @@ class ConfigError(Exception):
 
 
 FORMATS = ("text", "latex", "json")
-ORDERS = ("asc", "desc")
 MAX_N = 64
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass
-class Bounds:
-    word_bound: int | None = None
-    max_steps: int = 10_000
-    size_cap: int = 200_000
 
 
 @dataclass
@@ -90,9 +85,8 @@ class SessionConfig:
         return self
 
 
-_TOP_KEYS = {"n", "preset", "twist", "xi_entries", "bounds", "format",
-             "seed", "reduce_order"}
-_BOUND_KEYS = {"word_bound", "max_steps", "size_cap"}
+def _unknown(raw: dict, cls) -> list:
+    return sorted(set(raw) - {f.name for f in fields(cls)})
 
 
 def load_config(path: str) -> SessionConfig:
@@ -105,28 +99,17 @@ def load_config(path: str) -> SessionConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = _unknown(raw, SessionConfig)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    cfg = SessionConfig()
-    cfg.n = raw.get("n", cfg.n)
-    cfg.preset = raw.get("preset")
-    cfg.twist = raw.get("twist", cfg.twist)
-    cfg.xi_entries = raw.get("xi_entries")
-    cfg.format = raw.get("format", cfg.format)
-    cfg.seed = raw.get("seed", cfg.seed)
-    cfg.reduce_order = raw.get("reduce_order", cfg.reduce_order)
-    bounds_raw = raw.get("bounds", {})
+        raise ConfigError(f"unknown config keys: {unknown}")
+    bounds_raw = raw.pop("bounds", {})
     if not isinstance(bounds_raw, dict):
         raise ConfigError("bounds must be a JSON object")
-    unknown = set(bounds_raw) - _BOUND_KEYS
+    unknown = _unknown(bounds_raw, Bounds)
     if unknown:
-        raise ConfigError(f"unknown bounds keys: {sorted(unknown)}")
-    for key in _BOUND_KEYS:
-        if key in bounds_raw and bounds_raw[key] is not None:
-            setattr(cfg.bounds, key, bounds_raw[key])
-    return cfg
+        raise ConfigError(f"unknown bounds keys: {unknown}")
+    bounds = Bounds(**{k: v for k, v in bounds_raw.items() if v is not None})
+    return SessionConfig(**raw, bounds=bounds)
 
 
 def build_map(cfg: SessionConfig) -> BimoduleMap:

@@ -215,9 +215,11 @@ class AlgebraElement(_Sparse):
             return self.terms[()]
         raise ValueError("element is not a scalar multiple of 1")
 
-    def key(self):
-        """Hashable canonical snapshot, used for deduplication."""
-        return tuple((w, c.a, c.b) for w, c in self.sorted_terms())
+    def __hash__(self):
+        # a multiple of the unit equals its scalar, so it hashes like one
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
+        return _Sparse.__hash__(self)
 
     def __str__(self):
         from .parsing import format_algebra

@@ -25,7 +25,8 @@ products  left-monomial * generator * right-monomial  of the right grade
 within the configured bounds, and reduce the query against an
 incrementally built echelon basis of their span.  A ``member`` verdict
 always carries a witness combination that re-expands to the query exactly;
-``not_member_at_bound`` is conclusive only relative to the bounds.  When
+``not_member_at_bound`` is conclusive only relative to the bounds, which
+an :class:`Ideal` reads from its one :class:`Bounds`.  When
 every nonzero map entry is homogeneous of word degree 1 the whole algebra
 is bigraded by (grade, word degree), and the oracle enumerates each
 bidegree component exactly instead of sweeping everything under a bound.
@@ -47,6 +48,22 @@ FAMILIES = ("dx_dx", "dx_d2x", "d2x_dx", "entry_d3", "d2x_d2x")
 FAMILY_GRADES = {
     "dx_dx": 2, "dx_d2x": 3, "d2x_dx": 3, "entry_d3": 3, "d2x_d2x": 4,
 }
+
+# Normal-form orientations of :meth:`Ideal.reduce`.
+ORDERS = ("asc", "desc")
+
+
+@dataclass
+class Bounds:
+    """The oracle's limits.
+
+    ``word_bound`` caps the coefficient word degree of a system (None
+    derives it per query), ``size_cap`` the columns of one system, and
+    ``max_steps`` the rewrite steps of :meth:`Ideal.reduce`.
+    """
+    word_bound: int | None = None
+    max_steps: int = 10_000
+    size_cap: int = 200_000
 
 
 def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
@@ -238,10 +255,10 @@ def _words_of_length(n: int, length: int):
 class Ideal:
     """Ideal context: generator cache, membership oracle, rewriting reducer."""
 
-    def __init__(self, calc: Calculus, size_cap: int = 200_000):
+    def __init__(self, calc: Calculus, bounds: Bounds | None = None):
         self.calc = calc
         self.n = calc.n
-        self.size_cap = size_cap
+        self.bounds = Bounds() if bounds is None else bounds
         self._relations = {}  # (i, j) -> relations(calc, x^i, j)
         self._nonzero = None
         self._leads = None
@@ -289,11 +306,12 @@ class Ideal:
 
     # -- membership ------------------------------------------------------------
 
-    def membership(self, e: TensorElement, word_bound=None) -> Verdict:
+    def membership(self, e: TensorElement) -> Verdict:
         if e.n != self.n:
             raise ValueError(f"element has {e.n} generators, ideal has {self.n}")
         if e.is_zero:
             return Verdict("member", witness=[])
+        word_bound = self.bounds.word_bound
         if word_bound is None:
             word_bound = e.max_word_degree() + self.calc.bmap.max_entry_degree()
 
@@ -329,7 +347,7 @@ class Ideal:
             if system is None:
                 return Verdict("bound_exceeded", detail=(
                     f"spanning set for grade {grade} exceeds the size cap "
-                    f"{self.size_cap}"))
+                    f"{self.bounds.size_cap}"))
             echelon, columns = system
             combo, rest = echelon.express(_vectorize(part))
             if combo is None:
@@ -371,7 +389,7 @@ class Ideal:
         cached = self._systems.get(key)
         if cached is not None:
             return cached
-        if self._count_columns(grade, wdeg, word_bound) > self.size_cap:
+        if self._count_columns(grade, wdeg, word_bound) > self.bounds.size_cap:
             return None
 
         echelon = _Echelon()
@@ -471,23 +489,23 @@ class Ideal:
                                              for segment, c in rest.terms.items()]
         return rules
 
-    def reduce(self, e: TensorElement, max_steps: int = 10_000,
-               order: str = "desc") -> TensorElement:
+    def reduce(self, e: TensorElement, order: str = "desc") -> TensorElement:
         """Rewrite two-letter patterns toward the configured normal form.
 
         A rule instance fires only when every replacement word is strictly
         closer to normal form under ``order`` ("asc": lexicographically
         smaller words are normal, "desc": larger ones are), which makes the
-        loop terminate; the step budget is a safety net.  The result is
-        always congruent to the input modulo the ideal.
+        loop terminate; the step budget ``bounds.max_steps`` is a safety net.
+        The result is always congruent to the input modulo the ideal.
         """
-        if order not in ("asc", "desc"):
-            raise ValueError("order must be 'asc' or 'desc'")
+        if order not in ORDERS:
+            raise ValueError(f"order must be one of {ORDERS}")
         rules = self._rewrite_rules()
         improves = (lambda new, old: new < old) if order == "asc" \
             else (lambda new, old: new > old)
 
         current = e
+        max_steps = self.bounds.max_steps
         for _ in range(max_steps):
             fired = self._reduce_step(current, rules, improves)
             if fired is None:

@@ -325,10 +325,6 @@ def format_tensor(e: TensorElement) -> str:
     return _tensor(_TEXT, e)
 
 
-def format_algebra_latex(u: AlgebraElement) -> str:
-    return _algebra(_LATEX, u)
-
-
 def format_tensor_latex(e: TensorElement) -> str:
     return _tensor(_LATEX, e)
 

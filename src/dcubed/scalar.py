@@ -99,7 +99,8 @@ class Scalar:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational hashes like the Fraction or int it equals
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

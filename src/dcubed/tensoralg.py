@@ -101,11 +101,6 @@ class TensorElement(_Sparse):
                 parts.setdefault((g, length), {})[dword] = piece
         return {part: TensorElement._new(self.n, terms) for part, terms in parts.items()}
 
-    # -- canonical snapshots -------------------------------------------------
-
-    def key(self):
-        return tuple((dword, coeff.key()) for dword, coeff in self.sorted_terms())
-
     def __str__(self):
         from .parsing import format_tensor
         return format_tensor(self)
@@ -137,11 +132,4 @@ def tensor_mul(bmap: BimoduleMap, w: TensorElement, t: TensorElement) -> TensorE
                     out._accumulate(w1 + mid, pushed * s)
             else:
                 out._accumulate(w1, r * s)
-    return out
-
-
-def tensor_product(bmap: BimoduleMap, *factors: TensorElement) -> TensorElement:
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor_mul(bmap, out, f)
     return out

@@ -43,6 +43,10 @@ OUTCOMES = {
 }
 EXIT_CODES = {o.verdict: o.exit_code for o in OUTCOMES.values()}
 
+# Random forms drawn per run by the q-leibniz and d3 suites, on top of
+# their exhaustive instances.
+RANDOM_SAMPLES = 2
+
 
 def _worst(verdicts) -> str:
     """fail before inconclusive before pass."""
@@ -160,11 +164,10 @@ class SuiteReport:
 # -- single-instance checks ---------------------------------------------------
 
 
-def _membership_instance(ideal, check, inputs, residual,
-                         word_bound=None) -> CheckInstance:
+def _membership_instance(ideal, check, inputs, residual) -> CheckInstance:
     if residual.is_zero:
         return CheckInstance(check, inputs, "raw", "pass", witness=[])
-    verdict = ideal.membership(residual, word_bound)
+    verdict = ideal.membership(residual)
     outcome = OUTCOMES[verdict.status].verdict
     if verdict.is_member:
         return CheckInstance(check, inputs, "ideal", outcome,
@@ -187,8 +190,8 @@ def _scalar_coefficients_only(w: TensorElement) -> bool:
     return all(set(coeff.terms) <= {()} for coeff in w.terms.values())
 
 
-def check_q_leibniz(ideal: Ideal, omega: TensorElement, theta: TensorElement,
-                    word_bound=None) -> CheckInstance:
+def check_q_leibniz(ideal: Ideal, omega: TensorElement,
+                    theta: TensorElement) -> CheckInstance:
     """d(omega theta) - d(omega) theta - q^grade(omega) omega d(theta)."""
     grade = omega.homogeneous_grade()
     if grade is None:
@@ -202,19 +205,16 @@ def check_q_leibniz(ideal: Ideal, omega: TensorElement, theta: TensorElement,
     raw_expected = theta.max_grade() == 0 or _scalar_coefficients_only(omega)
     if raw_expected:
         return _raw_instance("q-leibniz", inputs, residual)
-    return _membership_instance(ideal, "q-leibniz", inputs, residual,
-                                word_bound=word_bound)
+    return _membership_instance(ideal, "q-leibniz", inputs, residual)
 
 
-def check_d3(ideal: Ideal, w: TensorElement, word_bound=None) -> CheckInstance:
+def check_d3(ideal: Ideal, w: TensorElement) -> CheckInstance:
     """The third iterate of d must land in the ideal."""
     residual = d_power(ideal.calc, w, 3)
-    return _membership_instance(ideal, "d3", {"w": format_tensor(w)}, residual,
-                                word_bound=word_bound)
+    return _membership_instance(ideal, "d3", {"w": format_tensor(w)}, residual)
 
 
-def check_congruences(ideal: Ideal, v: AlgebraElement, j: int,
-                      word_bound=None) -> list:
+def check_congruences(ideal: Ideal, v: AlgebraElement, j: int) -> list:
     """The generator relations with x^i replaced by an arbitrary element v.
 
     For v a generator the residuals coincide with the ideal generators, so
@@ -228,16 +228,15 @@ def check_congruences(ideal: Ideal, v: AlgebraElement, j: int,
             for k, residual in enumerate(rels[family], start=1):
                 out.append(_membership_instance(
                     ideal, f"congruence:{name}", {**inputs, "k": str(k)},
-                    residual, word_bound=word_bound))
+                    residual))
         else:
             out.append(_membership_instance(
-                ideal, f"congruence:{name}", inputs, rels[family],
-                word_bound=word_bound))
+                ideal, f"congruence:{name}", inputs, rels[family]))
     return out
 
 
-def check_d2_binomial(ideal: Ideal, u: AlgebraElement, v: AlgebraElement,
-                      word_bound=None) -> CheckInstance:
+def check_d2_binomial(ideal: Ideal, u: AlgebraElement,
+                      v: AlgebraElement) -> CheckInstance:
     """d^2(uv) = d^2(u) v + [2]_q d(u) d(v) + u d^2(v)  modulo the ideal."""
     calc, bmap = ideal.calc, ideal.calc.bmap
     tu, tv = TensorElement.of_algebra(u), TensorElement.of_algebra(v)
@@ -246,12 +245,10 @@ def check_d2_binomial(ideal: Ideal, u: AlgebraElement, v: AlgebraElement,
         - tensor_mul(bmap, d(calc, tu), d(calc, tv)).scale(q_integer(2)) \
         - tensor_mul(bmap, tu, d_power(calc, tv, 2))
     inputs = {"u": format_algebra(u), "v": format_algebra(v)}
-    return _membership_instance(ideal, "d2-binomial", inputs, residual,
-                                word_bound=word_bound)
+    return _membership_instance(ideal, "d2-binomial", inputs, residual)
 
 
-def check_generator_diffs(ideal: Ideal, i: int, j: int,
-                          word_bound=None) -> list:
+def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
     """d-compatibility at the generator level.
 
     The two top families satisfy exact identities: the differential of an
@@ -286,8 +283,7 @@ def check_generator_diffs(ideal: Ideal, i: int, j: int,
     for family in ("dx_dx", "dx_d2x", "d2x_dx"):
         residual = d(calc, ideal.generator_element(family, i, j))
         out.append(_membership_instance(
-            ideal, f"generator-diff:{family}", inputs, residual,
-            word_bound=word_bound))
+            ideal, f"generator-diff:{family}", inputs, residual))
     return out
 
 
@@ -316,16 +312,13 @@ def _random_monomial_form(rng: random.Random, n: int, max_grade: int,
 
 
 def run_suite(ideal: Ideal, suites=("all",), seed: int = 0,
-              max_word_len: int = 2, preset: str = "custom",
-              word_bound=None,
-              random_samples: int = 2) -> SuiteReport:
+              max_word_len: int = 2, preset: str = "custom") -> SuiteReport:
     names = list(SUITES) if ("all" in suites) else [s for s in SUITES if s in suites]
     unknown = set(suites) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     n = ideal.n
     suite_report = SuiteReport(preset=preset, n=n, seed=seed)
-    kw = {"word_bound": word_bound}
 
     for name in names:
         rng = random.Random(seed)  # each suite draws from the same seed
@@ -347,43 +340,42 @@ def run_suite(ideal: Ideal, suites=("all",), seed: int = 0,
             thetas += [TensorElement.of_letter(n, 2, j) for j in range(1, n + 1)]
             for omega in omegas:
                 for theta in thetas:
-                    report.instances.append(check_q_leibniz(ideal, omega, theta, **kw))
-            for _ in range(random_samples):
+                    report.instances.append(check_q_leibniz(ideal, omega, theta))
+            for _ in range(RANDOM_SAMPLES):
                 omega = _random_monomial_form(rng, n, 2, 1)
                 theta = _random_monomial_form(rng, n, 1, 1)
-                report.instances.append(check_q_leibniz(ideal, omega, theta, **kw))
+                report.instances.append(check_q_leibniz(ideal, omega, theta))
         elif name == "d3":
             for word in _all_words(n, max_word_len):
                 report.instances.append(check_d3(
-                    ideal, TensorElement.of_algebra(AlgebraElement.monomial(n, word)),
-                    **kw))
+                    ideal, TensorElement.of_algebra(AlgebraElement.monomial(n, word))))
             for grade in (1, 2):
                 for i in range(1, n + 1):
                     for word in _all_words(n, 1):
                         w = TensorElement.of_letter(
                             n, grade, i, AlgebraElement.monomial(n, word))
-                        report.instances.append(check_d3(ideal, w, **kw))
-            for _ in range(random_samples):
+                        report.instances.append(check_d3(ideal, w))
+            for _ in range(RANDOM_SAMPLES):
                 report.instances.append(
-                    check_d3(ideal, _random_monomial_form(rng, n, 2, 1), **kw))
+                    check_d3(ideal, _random_monomial_form(rng, n, 2, 1)))
         elif name == "congruences":
             vs = [AlgebraElement.one(n)]
             vs += [AlgebraElement.monomial(n, w) for w in _all_words(n, max_word_len)
                    if w]
             for v in vs:
                 for j in range(1, n + 1):
-                    report.instances.extend(check_congruences(ideal, v, j, **kw))
+                    report.instances.extend(check_congruences(ideal, v, j))
         elif name == "d2-binomial":
             words = list(_all_words(n, max_word_len))
             for wu in words:
                 for wv in words:
                     report.instances.append(check_d2_binomial(
                         ideal, AlgebraElement.monomial(n, wu),
-                        AlgebraElement.monomial(n, wv), **kw))
+                        AlgebraElement.monomial(n, wv)))
         elif name == "generator-diffs":
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    report.instances.extend(check_generator_diffs(ideal, i, j, **kw))
+                    report.instances.extend(check_generator_diffs(ideal, i, j))
         report.duration_s = time.perf_counter() - started
         suite_report.reports.append(report)
     return suite_report

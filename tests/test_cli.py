@@ -150,6 +150,25 @@ def test_config_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+MEMBER = ("member", "dx1 dx2 x1 - q dx2 dx1 x1")
+REDUCE = ("reduce", "dx1 dx2 dx1 dx2")
+
+
+@pytest.mark.parametrize("argv, bounds, expected", [
+    (MEMBER, {"word_bound": None, "size_cap": None}, 0),
+    (MEMBER, {"word_bound": 0}, 1),
+    (MEMBER, {"size_cap": 1}, 3),
+    (REDUCE, {"max_steps": None}, 0),
+    (REDUCE, {"max_steps": 1}, 3),
+])
+def test_config_bounds_reach_the_oracle(capsys, tmp_path, argv, bounds, expected):
+    # a null bound keeps its default; a set one is the one the oracle uses
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps({"preset": "commutative", "bounds": bounds}))
+    code, _, _ = run(capsys, *argv, "--config", str(path))
+    assert code == expected
+
+
 def test_scalar_twist_flag(capsys):
     code, out, _ = run(capsys, "diff", "--preset", "scalar-twist",
                        "--twist", "2", "-k", "1", "x1 x1")

@@ -8,7 +8,7 @@ from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d, d_power
-from dcubed.ideal import Ideal, FAMILY_GRADES, ReduceNotApplicable
+from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, ReduceNotApplicable
 
 from conftest import PRESET_NAMES, random_tensor, x
 
@@ -137,11 +137,12 @@ def test_word_multiple_stays_in_ideal(preset_ideal):
     assert preset_ideal.expand_witness(verdict.witness) == shifted
 
 
-def test_third_iterate_of_word_is_member(commutative_ideal):
-    e = d_power(commutative_ideal.calc, TensorElement.of_algebra(x(2, 1, 2)), 3)
-    verdict = commutative_ideal.membership(e, word_bound=2)
+def test_third_iterate_of_word_is_member():
+    ideal = Ideal(Calculus(preset_map("commutative", 2)), Bounds(word_bound=2))
+    e = d_power(ideal.calc, TensorElement.of_algebra(x(2, 1, 2)), 3)
+    verdict = ideal.membership(e)
     assert verdict.is_member
-    assert commutative_ideal.expand_witness(verdict.witness) == e
+    assert ideal.expand_witness(verdict.witness) == e
 
 
 def test_zero_is_member(preset_ideal):
@@ -168,7 +169,7 @@ def test_residual_is_exact(commutative_ideal):
 
 
 def test_size_cap_reports_bound_exceeded():
-    ideal = Ideal(Calculus(preset_map("commutative", 2)), size_cap=1)
+    ideal = Ideal(Calculus(preset_map("commutative", 2)), Bounds(size_cap=1))
     gen = ideal.generator_element("dx_dx", 1, 2)
     shifted = tensor_mul(ideal.calc.bmap, mono(2, ((1, 1),)), gen)
     verdict = ideal.membership(shifted)
@@ -185,18 +186,18 @@ def test_size_cap_boundary(name, columns):
     gen = Ideal(calc).generator_element("dx_dx", 1, 2)
     query = tensor_mul(bmap, tensor_mul(bmap, mono(2, ((1, 1),)), gen),
                        TensorElement.of_algebra(x(2, 1)))
-    assert Ideal(calc, size_cap=columns).membership(query).is_member
-    assert Ideal(calc, size_cap=columns - 1).membership(query).status \
+    assert Ideal(calc, Bounds(size_cap=columns)).membership(query).is_member
+    assert Ideal(calc, Bounds(size_cap=columns - 1)).membership(query).status \
         == "bound_exceeded"
 
 
-def test_membership_word_bound_limits(commutative_ideal):
-    gen = commutative_ideal.generator_element("dx_dx", 1, 1)
-    deep = tensor_mul(commutative_ideal.calc.bmap,
-                      TensorElement.of_algebra(x(2, 1, 2)), gen)
-    assert commutative_ideal.membership(deep, word_bound=0).status \
+def test_membership_word_bound_limits():
+    calc = Calculus(preset_map("commutative", 2))
+    gen = Ideal(calc).generator_element("dx_dx", 1, 1)
+    deep = tensor_mul(calc.bmap, TensorElement.of_algebra(x(2, 1, 2)), gen)
+    assert Ideal(calc, Bounds(word_bound=0)).membership(deep).status \
         == "not_member_at_bound"
-    assert commutative_ideal.membership(deep, word_bound=2).is_member
+    assert Ideal(calc, Bounds(word_bound=2)).membership(deep).is_member
 
 
 def test_reduce_commutative_pair():

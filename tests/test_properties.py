@@ -4,13 +4,15 @@ Elements are drawn over n = 2 from strategies shaped like
 ``conftest.random_algebra`` and ``conftest.random_tensor``.
 """
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from dcubed.scalar import ZERO
+from dcubed.scalar import Scalar, ZERO, ONE
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
@@ -79,6 +81,21 @@ def test_equal_elements_hash_equal(ab):
     assert (a + b) - b == a
     assert hash((a + b) - b) == hash(a)
     assert hash(a + b) == hash(b + a)
+
+
+@examples
+@given(scalars)
+def test_scalars_hash_like_the_numbers_they_equal(s):
+    u = AlgebraElement.scalar(N, s)
+    assert u == s and hash(u) == hash(s)
+    if not s.b:
+        assert s == s.a and hash(s) == hash(s.a)
+
+
+def test_equal_scalars_meet_in_sets():
+    assert len({AlgebraElement.scalar(N, 1), ONE, 1}) == 1
+    assert Fraction(1, 2) in {Scalar(Fraction(1, 2))}
+    assert hash(AlgebraElement.zero(N)) == hash(0)
 
 
 @examples

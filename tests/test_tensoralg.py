@@ -6,7 +6,7 @@ from dcubed.scalar import Q
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import preset_map
 from dcubed.tensoralg import (
-    TensorElement, tensor_mul, tensor_product, push_through, dword_grade,
+    TensorElement, tensor_mul, push_through, dword_grade,
 )
 
 from conftest import PRESET_NAMES, random_tensor, x
@@ -108,7 +108,6 @@ def test_associativity(name):
         c = random_tensor(rng, 2, max_grade=1, max_word_len=1, max_terms=2)
         assert tensor_mul(m, tensor_mul(m, a, b), c) == \
             tensor_mul(m, a, tensor_mul(m, b, c))
-        assert tensor_product(m, a, b, c) == tensor_mul(m, a, tensor_mul(m, b, c))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

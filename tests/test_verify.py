@@ -6,7 +6,8 @@ from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement
-from dcubed.ideal import Ideal
+from dcubed import verify
+from dcubed.ideal import Bounds, Ideal
 from dcubed.verify import (
     check_q_leibniz, check_d3, check_congruences, check_d2_binomial,
     check_generator_diffs, run_suite, SUITES,
@@ -142,9 +143,9 @@ def test_generator_diffs(preset_ideal):
                                                 inst.residual)
 
 
-def test_run_suite_all_passes(preset_ideal):
-    report = run_suite(preset_ideal, ("all",), seed=5, max_word_len=1,
-                       random_samples=1)
+def test_run_suite_all_passes(preset_ideal, monkeypatch):
+    monkeypatch.setattr(verify, "RANDOM_SAMPLES", 1)
+    report = run_suite(preset_ideal, ("all",), seed=5, max_word_len=1)
     assert report.exit_code == 0
     assert [r.name for r in report.reports] == list(SUITES)
     assert all(r.instances for r in report.reports)
@@ -168,9 +169,10 @@ def test_report_serialization_and_determinism(commutative_ideal):
     assert "PASS" in text and "verification report" in text
 
 
-def test_suite_text_mentions_failures():
+def test_suite_text_mentions_failures(monkeypatch):
     # cripple the oracle with a tiny size cap: members become inconclusive
-    ideal = Ideal(Calculus(preset_map("commutative", 2)), size_cap=1)
-    report = run_suite(ideal, ("d3",), max_word_len=2, random_samples=0)
+    monkeypatch.setattr(verify, "RANDOM_SAMPLES", 0)
+    ideal = Ideal(Calculus(preset_map("commutative", 2)), Bounds(size_cap=1))
+    report = run_suite(ideal, ("d3",), max_word_len=2)
     assert report.exit_code == 3
     assert "INCONCLUSIVE" in report.to_text()
