@@ -115,7 +115,7 @@ class BimoduleMap:
                     column[k] = column[k] + mat[k][j - 1].scale(coeff)
         return [(k + 1, c) for k, c in enumerate(column) if c]
 
-    # -- structural inspection (drives solver bounds and rewrite rules) -----
+    # -- structural inspection (drives the oracle's path and word bound) ---
 
     def entries(self):
         for i in range(1, self.n + 1):

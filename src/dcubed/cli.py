@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``diff`` (iterated differential of an expression), ``reduce``
-(rewrite toward a normal form), ``member`` (ideal membership with witness),
-``verify`` (run the identity check suites and emit a report).
+(normal form modulo the ideal: the membership residual, zero for members),
+``member`` (ideal membership with witness), ``verify`` (run the identity
+check suites and emit a report).
 
 Exit codes: 0 ok, 1 check failure / non-membership, 2 parse or config
-error, 3 inconclusive (bounds or step budget exhausted).
+error, 3 inconclusive (bounds exhausted).
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from dataclasses import fields
 
 from .calculus import Calculus
 from .config import (
-    ConfigError, SessionConfig, FORMATS, ORDERS, build_map, load_config,
+    ConfigError, SessionConfig, FORMATS, MAX_WORD_LEN, build_map, load_config,
 )
 from .differential import d_power
-from .ideal import Ideal, ReduceBudgetExceeded, ReduceNotApplicable
+from .ideal import Ideal
 from .parsing import (
     ParseError, parse_expression, format_tensor, format_tensor_latex,
     tensor_to_obj,
 )
+from .tensoralg import TensorElement
 from .verify import OUTCOMES, SUITES, run_suite
 
 EXIT_OK = OUTCOMES["member"].exit_code
@@ -54,10 +56,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "membership oracle (>= 0)")
     common.add_argument("--size-cap", type=int, metavar="N",
                         help="spanning-set size cap for the membership oracle")
-    common.add_argument("--max-steps", type=int, metavar="N",
-                        help="rewrite step budget")
-    common.add_argument("--order", choices=ORDERS,
-                        help="rewrite normal-form orientation")
     common.add_argument("--seed", type=int, metavar="N",
                         help="seed for sampled checks")
 
@@ -72,7 +70,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="append the ideal-membership verdict")
 
     p_reduce = sub.add_parser("reduce", parents=[common],
-                              help="rewrite an expression toward normal form")
+                              help="normal form of an expression modulo the ideal")
     p_reduce.add_argument("expr")
 
     p_member = sub.add_parser("member", parents=[common],
@@ -89,7 +87,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall-clock timings in the JSON report")
     p_verify.add_argument("--max-word-len", type=int, default=2,
-                          help="exhaustive word length for sampled checks")
+                          help="exhaustive word length for sampled checks "
+                               f"(0 to {MAX_WORD_LEN})")
     return parser
 
 
@@ -108,8 +107,6 @@ def _session(args) -> SessionConfig:
         cfg.format = args.format
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.order is not None:
-        cfg.reduce_order = args.order
     for bound in fields(cfg.bounds):
         value = getattr(args, bound.name)
         if value is not None:
@@ -128,7 +125,6 @@ def _render(e, fmt: str) -> str:
 
 def _witness_lines(witness, n):
     from .freealg import AlgebraElement
-    from .tensoralg import TensorElement
 
     def monomial_text(dword, word):
         return format_tensor(TensorElement.monomial(
@@ -161,16 +157,12 @@ def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
 
 
 def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
-    expr = parse_expression(args.expr, ideal.calc)
-    try:
-        result = ideal.reduce(expr, order=cfg.reduce_order)
-    except ReduceNotApplicable as err:
-        print(f"reduce refused: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ReduceBudgetExceeded as err:
-        print(f"reduce inconclusive: {err}", file=sys.stderr)
+    verdict = ideal.membership(parse_expression(args.expr, ideal.calc))
+    if verdict.status == "bound_exceeded":
+        print(f"reduce inconclusive: {verdict.detail}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    print(_render(result, cfg.format))
+    # a member has no residual: its normal form is zero
+    print(_render(verdict.residual or TensorElement.zero(ideal.n), cfg.format))
     return EXIT_OK
 
 
@@ -224,8 +216,8 @@ COMMANDS = {"diff": cmd_diff, "reduce": cmd_reduce,
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.max_word_len < 0:
-        parser.error("--max-word-len must be >= 0")
+    if args.command == "verify" and not 0 <= args.max_word_len <= MAX_WORD_LEN:
+        parser.error(f"--max-word-len must be between 0 and {MAX_WORD_LEN}")
     try:
         cfg = _session(args)
         bmap = build_map(cfg)

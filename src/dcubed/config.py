@@ -6,10 +6,9 @@ A config file looks like::
       "n": 2,
       "preset": "commutative",          // or "xi_entries": [[["x1","0"],...],...]
       "twist": "q",                     // scalar for the scalar-twist preset
-      "bounds": {"word_bound": null, "max_steps": null, "size_cap": null},
+      "bounds": {"word_bound": null, "size_cap": null},
       "format": "text",
-      "seed": 0,
-      "reduce_order": "desc"
+      "seed": 0
     }
 
 ``xi_entries[i-1][j-1][k-1]`` is the expression for the coefficient on
@@ -18,11 +17,13 @@ expressions (scalars, generators, + - *).  A preset, when present, wins over
 explicit entries.
 
 ``n``, ``seed`` and the bounds are plain JSON integers (``true`` is not
-one); ``word_bound`` is >= 0, the other bounds are >= 1.  A null or missing
+one); ``word_bound`` is >= 0 and ``size_cap`` is >= 1.  A null or missing
 bound keeps its default from :class:`dcubed.ideal.Bounds` (for
 ``word_bound``, None: a bound derived per query).
 ``n`` is at most ``MAX_N`` = 64, from a file or from ``-n``: a structure
-map holds n^3 entries, built before any work starts.  Unknown keys,
+map holds n^3 entries, built before any work starts.  ``verify
+--max-word-len`` is at most ``MAX_WORD_LEN`` = 6: the sampled checks take
+every word up to that length, n^len of them.  Unknown keys,
 ``bounds.grade_bound`` among them, are rejected.
 """
 
@@ -32,7 +33,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .bimodule import BimoduleMap, PRESETS, preset_map
-from .ideal import Bounds, ORDERS
+from .ideal import Bounds
 from .parsing import ParseError, parse_algebra
 
 
@@ -42,6 +43,7 @@ class ConfigError(Exception):
 
 FORMATS = ("text", "latex", "json")
 MAX_N = 64
+MAX_WORD_LEN = 6
 
 
 def _is_int(value) -> bool:
@@ -57,7 +59,6 @@ class SessionConfig:
     bounds: Bounds = field(default_factory=Bounds)
     format: str = "text"
     seed: int = 0
-    reduce_order: str = "desc"
 
     def validate(self):
         if not _is_int(self.n) or not _is_int(self.seed):
@@ -73,12 +74,9 @@ class SessionConfig:
                 f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
-        if self.reduce_order not in ORDERS:
-            raise ConfigError(f"reduce_order must be one of {ORDERS}")
-        for name in ("max_steps", "size_cap"):
-            value = getattr(self.bounds, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"bounds.{name} must be an integer >= 1")
+        size_cap = self.bounds.size_cap
+        if not _is_int(size_cap) or size_cap < 1:
+            raise ConfigError("bounds.size_cap must be an integer >= 1")
         word_bound = self.bounds.word_bound
         if word_bound is not None and (not _is_int(word_bound) or word_bound < 0):
             raise ConfigError("bounds.word_bound must be null or an integer >= 0")

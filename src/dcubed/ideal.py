@@ -13,8 +13,7 @@ structure-map entry on d^a x^k and q for the cube root of unity):
 
 :func:`relations` is the one place this table is written as code: it
 builds the five residuals for x^i replaced by any algebra element v, and
-the generators, the congruence checks and the rewrite rules all read them
-from there.
+the generators and the congruence checks both read them from there.
 
 The zeroth-order push-through relations are not emitted: coefficients are
 always stored to the right of the letters, so those relations hold
@@ -30,6 +29,15 @@ an :class:`Ideal` reads from its one :class:`Bounds`.  When
 every nonzero map entry is homogeneous of word degree 1 the whole algebra
 is bigraded by (grade, word degree), and the oracle enumerates each
 bidegree component exactly instead of sweeping everything under a bound.
+
+The residual of a verdict is the normal form of the query: what is left
+after reducing every component against its echelon basis, which is the
+one representative of the query's coset that touches no pivot key.  It is
+zero exactly for members, reducing it again leaves it unchanged, and it
+differs from the query by a member.  On a bigraded map each echelon basis
+is a truncated Groebner basis of its bidegree (Bergman's diamond lemma);
+on the bounded path the normal form is canonical relative to the word
+bound.
 """
 
 from __future__ import annotations
@@ -49,20 +57,14 @@ FAMILY_GRADES = {
     "dx_dx": 2, "dx_d2x": 3, "d2x_dx": 3, "entry_d3": 3, "d2x_d2x": 4,
 }
 
-# Normal-form orientations of :meth:`Ideal.reduce`.
-ORDERS = ("asc", "desc")
-
-
 @dataclass
 class Bounds:
     """The oracle's limits.
 
     ``word_bound`` caps the coefficient word degree of a system (None
-    derives it per query), ``size_cap`` the columns of one system, and
-    ``max_steps`` the rewrite steps of :meth:`Ideal.reduce`.
+    derives it per query), and ``size_cap`` the columns of one system.
     """
     word_bound: int | None = None
-    max_steps: int = 10_000
     size_cap: int = 200_000
 
 
@@ -101,14 +103,6 @@ def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
         "entry_d3": [diffs[2] for diffs in entry_diffs],
         "d2x_d2x": tensor_mul(bmap, d2v, d2x_j) - summed(2, 2).scale(Q),
     }
-
-
-class ReduceNotApplicable(ValueError):
-    """Rewriting needs structure-map entries of word degree <= 1."""
-
-
-class ReduceBudgetExceeded(RuntimeError):
-    """The rewrite loop hit its step budget before reaching a fixed point."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ class WitnessTerm:
 class Verdict:
     status: str                      # member | not_member_at_bound | bound_exceeded
     witness: list | None = None      # list[WitnessTerm] when member
-    residual: TensorElement | None = None
+    residual: TensorElement | None = None  # normal form when not a member
     detail: str = ""
 
     @property
@@ -253,7 +247,7 @@ def _words_of_length(n: int, length: int):
 
 
 class Ideal:
-    """Ideal context: generator cache, membership oracle, rewriting reducer."""
+    """Ideal context: generator cache and membership oracle."""
 
     def __init__(self, calc: Calculus, bounds: Bounds | None = None):
         self.calc = calc
@@ -459,77 +453,3 @@ class Ideal:
         for term in witness:
             out = out + self._product(term).scale(term.coeff)
         return out
-
-    # -- rewriting -------------------------------------------------------------
-
-    _PATTERNS = {"dx_dx": (1, 1), "dx_d2x": (1, 2),
-                 "d2x_dx": (2, 1), "d2x_d2x": (2, 2)}
-
-    def _rewrite_rules(self):
-        """Segment replacements: each two-letter generator, read as
-        pattern -> pattern - generator.
-
-        Requires every map entry to have word degree <= 1, so that the
-        inserted coefficients are central scalars and the suffix letters
-        are untouched.
-        """
-        for *_ix, entry in self.calc.bmap.entries():
-            if entry and entry.degree() > 1:
-                raise ReduceNotApplicable(
-                    "rewriting requires structure-map entries of degree <= 1")
-        rules = {}
-        n = self.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for family, (a1, a2) in self._PATTERNS.items():
-                    pattern = TensorElement.monomial(
-                        n, ((a1, i), (a2, j)), AlgebraElement.one(n))
-                    rest = pattern - self.generator_element(family, i, j)
-                    rules[(a1, a2, i, j)] = [(segment, c.constant_value())
-                                             for segment, c in rest.terms.items()]
-        return rules
-
-    def reduce(self, e: TensorElement, order: str = "desc") -> TensorElement:
-        """Rewrite two-letter patterns toward the configured normal form.
-
-        A rule instance fires only when every replacement word is strictly
-        closer to normal form under ``order`` ("asc": lexicographically
-        smaller words are normal, "desc": larger ones are), which makes the
-        loop terminate; the step budget ``bounds.max_steps`` is a safety net.
-        The result is always congruent to the input modulo the ideal.
-        """
-        if order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}")
-        rules = self._rewrite_rules()
-        improves = (lambda new, old: new < old) if order == "asc" \
-            else (lambda new, old: new > old)
-
-        current = e
-        max_steps = self.bounds.max_steps
-        for _ in range(max_steps):
-            fired = self._reduce_step(current, rules, improves)
-            if fired is None:
-                return current
-            current = fired
-        raise ReduceBudgetExceeded(
-            f"no fixed point within {max_steps} rewrite steps")
-
-    def _reduce_step(self, e, rules, improves):
-        for dword, coeff in e.sorted_terms():
-            for pos in range(len(dword) - 1):
-                (a1, i), (a2, j) = dword[pos], dword[pos + 1]
-                replacement = rules.get((a1, a2, i, j))
-                if not replacement:
-                    continue
-                new_words = [dword[:pos] + segment + dword[pos + 2:]
-                             for segment, s in replacement if s]
-                if not all(improves(w, dword) for w in new_words):
-                    continue
-                out = e - TensorElement.monomial(self.n, dword, coeff)
-                for segment, s in replacement:
-                    if s:
-                        out = out + TensorElement.monomial(
-                            self.n, dword[:pos] + segment + dword[pos + 2:],
-                            coeff.scale(s))
-                return out
-        return None

@@ -65,6 +65,13 @@ def random_tensor(rng: random.Random, n: int, max_grade: int = 3,
     return out
 
 
+def normal_form(ideal, e) -> TensorElement:
+    """The residual of e's membership verdict, zero for a member."""
+    verdict = ideal.membership(e)
+    assert verdict.status != "bound_exceeded"
+    return TensorElement.zero(ideal.n) if verdict.is_member else verdict.residual
+
+
 def x(n, *indices):
     """Monomial helper: x(2, 1, 2) is the word x1 x2 in a 2-generator algebra."""
     return AlgebraElement.monomial(n, indices)

@@ -86,13 +86,51 @@ def test_member_inconclusive_with_tiny_cap(capsys):
 
 
 def test_reduce_commutative(capsys):
+    # a member at n = 2, witnessed by dx_dx(1,2) and dx_dx(2,1) together
     code, out, _ = run(capsys, "reduce", "dx1 (*) dx2", "--preset", "commutative")
     assert code == 0
-    assert out.strip() == "dx2 (*) dx1 * q"
-    code, out, _ = run(capsys, "reduce", "dx1 (*) dx2",
-                       "--preset", "commutative", "--order", "asc")
+    assert out.strip() == "0"
+    code, out, _ = run(capsys, "reduce", "dx1 (*) dx2 + d2x1",
+                       "--preset", "commutative", "--format", "json")
     assert code == 0
-    assert out.strip() == "dx1 (*) dx2"
+    assert json.loads(out) == [{"letters": [[2, 1]],
+                                "coefficient": [{"word": [], "scalar":
+                                                 {"a": "1", "b": "0"}}]}]
+
+
+QUADRATIC = {"n": 2, "xi_entries": [[["x1 x1", "0"], ["0", "x1 x1"]],
+                                    [["x2 x2", "0"], ["0", "x2 x2"]]]}
+REDUCE_EXPRS = ("dx1 (*) dx2", "dx1 dx2 dx1 dx2", "d2x1 dx2 x1 x2")
+
+
+@pytest.mark.parametrize("expr", REDUCE_EXPRS
+                         + ("dx1 dx1 - q dx1 dx1 (x1 + x1 x1)",))
+@pytest.mark.parametrize("session", ["commutative", "scalar-twist", "constant",
+                                     "quadratic"])
+def test_reduce_is_zero_exactly_for_members(capsys, tmp_path, session, expr):
+    if session == "quadratic":
+        # the degree-2 map takes the bounded path; a word bound of 0 keeps
+        # its systems small
+        path = tmp_path / "quadratic.json"
+        path.write_text(json.dumps(QUADRATIC))
+        flags = ("--config", str(path), "--word-bound", "0")
+    else:
+        flags = ("--preset", session)
+    member_code, _, _ = run(capsys, "member", expr, *flags)
+    code, out, _ = run(capsys, "reduce", expr, *flags)
+    assert code == 0
+    assert (out.strip() == "0") == (member_code == 0)
+    # the normal form is its own normal form
+    code, again, _ = run(capsys, "reduce", out.strip(), *flags)
+    assert code == 0 and again == out
+
+
+def test_reduce_inconclusive_with_tiny_cap(capsys):
+    code, out, err = run(capsys, "reduce", "dx1 dx2 dx1 dx2",
+                         "--preset", "commutative", "--size-cap", "1")
+    assert code == 3
+    assert out == ""
+    assert "size cap 1" in err
 
 
 def test_verify_all_suites(capsys, tmp_path):
@@ -158,8 +196,8 @@ REDUCE = ("reduce", "dx1 dx2 dx1 dx2")
     (MEMBER, {"word_bound": None, "size_cap": None}, 0),
     (MEMBER, {"word_bound": 0}, 1),
     (MEMBER, {"size_cap": 1}, 3),
-    (REDUCE, {"max_steps": None}, 0),
-    (REDUCE, {"max_steps": 1}, 3),
+    (REDUCE, {"word_bound": 0}, 0),
+    (REDUCE, {"size_cap": 1}, 3),
 ])
 def test_config_bounds_reach_the_oracle(capsys, tmp_path, argv, bounds, expected):
     # a null bound keeps its default; a set one is the one the oracle uses
@@ -207,6 +245,9 @@ def test_verify_json_text_and_exit_code_agree(capsys):
     ("member", "dx1 (*) dx2", "--word-bound", "x"),
     ("verify", "--suite", "bogus"),
     ("verify", "--max-word-len", "-1"),
+    ("verify", "--max-word-len", "7"),
+    ("reduce", "dx1 (*) dx2", "--order", "asc"),
+    ("reduce", "dx1 (*) dx2", "--max-steps", "5"),
 ])
 def test_bad_flags_exit_code(capsys, flags):
     with pytest.raises(SystemExit) as exc:
@@ -232,13 +273,15 @@ def test_zero_denominator_exit_code(capsys, argv):
     {"twist": 5, "preset": "scalar-twist"},
     {"bounds": {"size_cap": "big"}},
     {"bounds": {"size_cap": True}},
-    {"bounds": {"max_steps": 0}},
+    {"bounds": {"size_cap": 0}},
     {"bounds": {"word_bound": "x"}},
     {"bounds": {"word_bound": -1}},
     {"bounds": {"word_bound": False}},
     {"bounds": {"grade_bound": 3}},
     {"preset": None, "n": 1, "xi_entries": [[["1/0"]]]},
     {"n": 65},
+    {"reduce_order": "desc"},
+    {"bounds": {"max_steps": 10}},
 ])
 def test_config_validation_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "session.json"

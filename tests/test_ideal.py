@@ -8,9 +8,9 @@ from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d, d_power
-from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, ReduceNotApplicable
+from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES
 
-from conftest import PRESET_NAMES, random_tensor, x
+from conftest import PRESET_NAMES, normal_form, random_tensor, x
 
 
 @pytest.fixture(params=PRESET_NAMES)
@@ -200,25 +200,17 @@ def test_membership_word_bound_limits():
     assert Ideal(calc, Bounds(word_bound=2)).membership(deep).is_member
 
 
-def test_reduce_commutative_pair():
-    ideal = Ideal(Calculus(preset_map("commutative", 2)))
-    e = mono(2, ((1, 1), (1, 2)))
-    # descending order: index-descending words are normal forms
-    assert ideal.reduce(e, order="desc") == mono(2, ((1, 2), (1, 1))).scale(Q)
-    # ascending order: the word is already normal
-    assert ideal.reduce(e, order="asc") == e
-
-
 def test_reduce_zero(preset_ideal):
-    assert preset_ideal.reduce(TensorElement.zero(2)).is_zero
+    assert normal_form(preset_ideal, TensorElement.zero(2)).is_zero
+    for gen in preset_ideal.all_generators():
+        assert normal_form(preset_ideal, gen.element.scale(Q)).is_zero
 
 
 def test_reduce_stays_congruent(preset_ideal):
     rng = random.Random(71)
     for _ in range(6):
         e = random_tensor(rng, 2, max_grade=3, max_word_len=1, max_terms=2)
-        reduced = preset_ideal.reduce(e)
-        diff = reduced - e
+        diff = normal_form(preset_ideal, e) - e
         assert preset_ideal.membership(diff).is_member
 
 
@@ -226,21 +218,8 @@ def test_reduce_idempotent(preset_ideal):
     rng = random.Random(73)
     for _ in range(6):
         e = random_tensor(rng, 2, max_grade=3, max_word_len=1, max_terms=2)
-        once = preset_ideal.reduce(e)
-        assert preset_ideal.reduce(once) == once
-
-
-def test_reduce_refuses_nonlinear_map():
-    gen = preset_map("commutative", 2).gen
-    gen[0][0][0] = x(2, 1, 1)  # a degree-2 entry
-    ideal = Ideal(Calculus(BimoduleMap(2, gen)))
-    with pytest.raises(ReduceNotApplicable):
-        ideal.reduce(mono(2, ((1, 1), (1, 2))))
-
-
-def test_reduce_order_validation(commutative_ideal):
-    with pytest.raises(ValueError):
-        commutative_ideal.reduce(TensorElement.zero(2), order="sideways")
+        once = normal_form(preset_ideal, e)
+        assert normal_form(preset_ideal, once) == once
 
 
 def test_three_generators():
