@@ -15,6 +15,10 @@ from __future__ import annotations
 from .scalar import ONE, Q
 from .freealg import AlgebraElement
 
+# The largest generator count a preset (or a session) builds: a structure
+# map holds n^3 entries, all built before any work starts.
+MAX_N = 64
+
 
 def _identity(n: int):
     return [[AlgebraElement.one(n) if k == j else AlgebraElement.zero(n)
@@ -176,6 +180,8 @@ PRESETS = {
 def preset_map(name: str, n: int, twist=Q) -> BimoduleMap:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    if n > MAX_N:
+        raise ValueError(f"generator count {n} above MAX_N = {MAX_N}")
     if name == "scalar-twist":
         return scalar_twist_map(n, twist)
     return PRESETS[name](n)

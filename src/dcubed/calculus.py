@@ -20,28 +20,27 @@ from .tensoralg import TensorElement
 class Calculus:
     """Derivative engine for a fixed structure map.
 
-    Gradients are memoized per word; the memo is only appended to, so the
-    context can be shared across concurrent checks.
+    Word gradients are memoized within one :meth:`gradient` call only, so
+    the engine holds no state beyond its map and may be shared freely.
     """
 
-    __slots__ = ("bmap", "n", "_grad_cache")
+    __slots__ = ("bmap", "n")
 
     def __init__(self, bmap: BimoduleMap):
         self.bmap = bmap
         self.n = bmap.n
-        self._grad_cache = {(): tuple(AlgebraElement.zero(self.n)
-                                      for _ in range(self.n))}
 
-    def _word_gradient(self, word):
-        cached = self._grad_cache.get(word)
+    def _word_gradient(self, word, memo):
+        """Gradient of one word; ``memo`` maps suffixes to their gradients."""
+        cached = memo.get(word)
         if cached is not None:
             return cached
-        # extend the longest cached suffix one letter at a time, caching
+        # extend the longest memoized suffix one letter at a time, memoizing
         # every suffix on the way (no recursion, so long words are fine)
         start = 1
-        while word[start:] not in self._grad_cache:
+        while word[start:] not in memo:
             start += 1
-        rest_grad = self._grad_cache[word[start:]]
+        rest_grad = memo[word[start:]]
         for pos in range(start - 1, -1, -1):
             i, rest = word[pos], word[pos + 1:]
             rest_elem = AlgebraElement.monomial(self.n, rest)
@@ -56,7 +55,7 @@ class Calculus:
                         acc = acc + e * rest_grad[j - 1]
                 grad.append(acc)
             rest_grad = tuple(grad)
-            self._grad_cache[word[pos:]] = rest_grad
+            memo[word[pos:]] = rest_grad
         return rest_grad
 
     def gradient(self, v: AlgebraElement):
@@ -64,8 +63,9 @@ class Calculus:
         if v.n != self.n:
             raise ValueError(f"element has {v.n} generators, calculus has {self.n}")
         out = [AlgebraElement.zero(self.n) for _ in range(self.n)]
+        memo = {(): tuple(out)}
         for word, coeff in v.terms.items():
-            for idx, dk in enumerate(self._word_gradient(word)):
+            for idx, dk in enumerate(self._word_gradient(word, memo)):
                 if dk:
                     out[idx] = out[idx] + dk.scale(coeff)
         return tuple(out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -123,6 +124,20 @@ def _render(e, fmt: str) -> str:
     return format_tensor(e)
 
 
+def _emit(*lines, end="\n"):
+    """Write lines to stdout.  A reader that has gone away (a closed pipe)
+    is not an error: stdout is pointed at the null device, so that the
+    interpreter's flush at exit stays quiet, and the command goes on to
+    return its exit code."""
+    try:
+        sys.stdout.write("\n".join(lines) + end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _witness_lines(witness, n):
     from .freealg import AlgebraElement
 
@@ -142,17 +157,17 @@ def _witness_lines(witness, n):
 def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
     expr = parse_expression(args.expr, ideal.calc)
     result = d_power(ideal.calc, expr, args.k)
-    print(_render(result, cfg.format))
+    _emit(_render(result, cfg.format))
     if not args.mod_ideal:
         return EXIT_OK
     verdict = ideal.membership(result)
     if verdict.is_member:
-        print("member of I_q")
+        _emit("member of I_q")
     elif verdict.status == "bound_exceeded":
-        print(f"membership inconclusive: {verdict.detail}")
+        _emit(f"membership inconclusive: {verdict.detail}")
     else:
-        print("not a member of I_q at the given bounds")
-        print(f"residual: {format_tensor(verdict.residual)}")
+        _emit("not a member of I_q at the given bounds",
+              f"residual: {format_tensor(verdict.residual)}")
     return OUTCOMES[verdict.status].exit_code
 
 
@@ -162,7 +177,7 @@ def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
         print(f"reduce inconclusive: {verdict.detail}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     # a member has no residual: its normal form is zero
-    print(_render(verdict.residual or TensorElement.zero(ideal.n), cfg.format))
+    _emit(_render(verdict.residual or TensorElement.zero(ideal.n), cfg.format))
     return EXIT_OK
 
 
@@ -177,17 +192,17 @@ def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
             obj["residual"] = tensor_to_obj(verdict.residual)
         if verdict.detail:
             obj["detail"] = verdict.detail
-        print(json.dumps(obj, sort_keys=True))
+        _emit(json.dumps(obj, sort_keys=True))
     else:
-        print(f"status: {verdict.status}")
+        lines = [f"status: {verdict.status}"]
         if verdict.is_member:
-            print("witness:" if verdict.witness else "witness: (zero element)")
-            for line in _witness_lines(verdict.witness, ideal.n):
-                print(line)
+            lines.append("witness:" if verdict.witness else "witness: (zero element)")
+            lines.extend(_witness_lines(verdict.witness, ideal.n))
         elif verdict.residual is not None:
-            print(f"residual: {format_tensor(verdict.residual)}")
+            lines.append(f"residual: {format_tensor(verdict.residual)}")
         if verdict.detail:
-            print(f"detail: {verdict.detail}")
+            lines.append(f"detail: {verdict.detail}")
+        _emit(*lines)
     return OUTCOMES[verdict.status].exit_code
 
 
@@ -197,10 +212,10 @@ def cmd_verify(args, cfg: SessionConfig, ideal: Ideal) -> int:
     report = run_suite(ideal, suites, seed=cfg.seed,
                        max_word_len=args.max_word_len, preset=preset_name)
     if cfg.format == "json":
-        print(json.dumps(report.to_dict(with_timing=args.timings),
+        _emit(json.dumps(report.to_dict(with_timing=args.timings),
                          sort_keys=True))
     else:
-        print(report.to_text(), end="")
+        _emit(report.to_text(), end="")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(with_timing=args.timings), handle,

@@ -20,8 +20,8 @@ explicit entries.
 one); ``word_bound`` is >= 0 and ``size_cap`` is >= 1.  A null or missing
 bound keeps its default from :class:`dcubed.ideal.Bounds` (for
 ``word_bound``, None: a bound derived per query).
-``n`` is at most ``MAX_N`` = 64, from a file or from ``-n``: a structure
-map holds n^3 entries, built before any work starts.  ``verify
+``n`` is at most :data:`dcubed.bimodule.MAX_N` = 64, from a file or from
+``-n``: a structure map holds n^3 entries, built before any work starts.  ``verify
 --max-word-len`` is at most ``MAX_WORD_LEN`` = 6: the sampled checks take
 every word up to that length, n^len of them.  Unknown keys,
 ``bounds.grade_bound`` among them, are rejected.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .bimodule import BimoduleMap, PRESETS, preset_map
+from .bimodule import MAX_N, BimoduleMap, PRESETS, preset_map
 from .ideal import Bounds
 from .parsing import ParseError, parse_algebra
 
@@ -42,7 +42,6 @@ class ConfigError(Exception):
 
 
 FORMATS = ("text", "latex", "json")
-MAX_N = 64
 MAX_WORD_LEN = 6
 
 

@@ -396,7 +396,7 @@ class Ideal:
             vec = _vectorize(col)
             inv = vec[max(vec, key=_term_order)].inv()
             scaled = [(k, v * inv) for k, v in vec.items()]
-            sig = tuple(sorted((k, s.a, s.b) for k, s in scaled))
+            sig = tuple(sorted((k, s.A, s.B, s.D) for k, s in scaled))
             if sig in seen:
                 continue
             seen.add(sig)

@@ -1,28 +1,63 @@
 """Exact arithmetic in Q(q), where q is a primitive cube root of unity.
 
-Every element is kept in the canonical form ``a + b*q`` with exact rational
-``a``, ``b``; the square of the root never appears because it is rewritten
-through the minimal polynomial ``q**2 + q + 1 = 0``.
+Every element is kept in the canonical form ``(A + B*q) / D`` with Python
+ints ``A``, ``B``, ``D``, where ``D > 0`` and ``gcd(A, B, D) == 1``, so equal
+values have equal fields.  The square of the root never appears because it
+is rewritten through the minimal polynomial ``q**2 + q + 1 = 0``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 
 class Scalar:
-    """An element ``a + b*q`` of Q(q) with q a primitive cube root of unity.
+    """An element ``(A + B*q) / D`` of Q(q), q a primitive cube root of unity.
 
-    Values are immutable by convention.  All arithmetic is exact; the
-    identities ``q**3 == 1`` and ``1 + q + q**2 == 0`` hold on the nose.
+    ``Scalar(a, b)`` builds ``a + b*q`` from ints or Fractions; the rational
+    parts read back as the Fractions ``.a`` and ``.b``.  Values are immutable
+    by convention.  All arithmetic is exact; the identities ``q**3 == 1`` and
+    ``1 + q + q**2 == 0`` hold on the nose.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("A", "B", "D")
 
     def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
+        if a.__class__ is int and b.__class__ is int:
+            self.A, self.B, self.D = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
+        da, db = a.denominator, b.denominator
+        d = da * db // gcd(da, db)
+        self.A = a.numerator * (d // da)
+        self.B = b.numerator * (d // db)
+        self.D = d
+
+    @classmethod
+    def _make(cls, A, B, D):
+        """(A + B q) / D for D > 0, brought to canonical form."""
+        if D != 1:
+            g = gcd(A, B, D)
+            if g != 1:
+                A //= g
+                B //= g
+                D //= g
+        out = object.__new__(cls)
+        out.A = A
+        out.B = B
+        out.D = D
+        return out
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
 
     @staticmethod
     def coerce(value) -> "Scalar":
@@ -33,18 +68,28 @@ class Scalar:
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
     def __add__(self, other):
-        if not isinstance(other, SCALAR_TYPES):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(self.a + other.a, self.b + other.b)
+        if other.__class__ is not Scalar:
+            if not isinstance(other, SCALAR_TYPES):
+                return NotImplemented
+            other = Scalar(other)
+        d1, d2 = self.D, other.D
+        if d1 == d2:
+            return Scalar._make(self.A + other.A, self.B + other.B, d1)
+        return Scalar._make(self.A * d2 + other.A * d1,
+                            self.B * d2 + other.B * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, SCALAR_TYPES):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(self.a - other.a, self.b - other.b)
+        if other.__class__ is not Scalar:
+            if not isinstance(other, SCALAR_TYPES):
+                return NotImplemented
+            other = Scalar(other)
+        d1, d2 = self.D, other.D
+        if d1 == d2:
+            return Scalar._make(self.A - other.A, self.B - other.B, d1)
+        return Scalar._make(self.A * d2 - other.A * d1,
+                            self.B * d2 - other.B * d1, d1 * d2)
 
     def __rsub__(self, other):
         if not isinstance(other, SCALAR_TYPES):
@@ -52,26 +97,30 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b)
+        return Scalar._make(-self.A, -self.B, self.D)
 
     def __mul__(self, other):
-        # (a1 + b1 q)(a2 + b2 q) = a1 a2 + (a1 b2 + a2 b1) q + b1 b2 q^2,
-        # then q^2 = -1 - q.
-        if not isinstance(other, SCALAR_TYPES):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        cross = self.b * other.b
-        return Scalar(self.a * other.a - cross,
-                      self.a * other.b + self.b * other.a - cross)
+        # (A1 + B1 q)(A2 + B2 q) = A1 A2 + (A1 B2 + A2 B1) q + B1 B2 q^2,
+        # then q^2 = -1 - q; the denominators multiply.
+        if other.__class__ is not Scalar:
+            if not isinstance(other, SCALAR_TYPES):
+                return NotImplemented
+            other = Scalar(other)
+        a1, b1, a2, b2 = self.A, self.B, other.A, other.B
+        cross = b1 * b2
+        return Scalar._make(a1 * a2 - cross, a1 * b2 + a2 * b1 - cross,
+                            self.D * other.D)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse; the conjugate is a + b*q^2 = (a-b) - b*q."""
-        norm = self.a * self.a - self.a * self.b + self.b * self.b
+        """Multiplicative inverse: D times the conjugate (A - B) - B*q over
+        the norm A^2 - AB + B^2, which is positive for a nonzero value."""
+        a, b = self.A, self.B
+        norm = a * a - a * b + b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        return Scalar((self.a - self.b) / norm, -self.b / norm)
+        return Scalar._make(self.D * (a - b), -self.D * b, norm)
 
     def __truediv__(self, other):
         return self * Scalar.coerce(other).inv()
@@ -96,14 +145,16 @@ class Scalar:
             if not isinstance(other, SCALAR_TYPES):
                 return NotImplemented
             other = Scalar(other)
-        return self.a == other.a and self.b == other.b
+        return self.A == other.A and self.B == other.B and self.D == other.D
 
     def __hash__(self):
         # a rational hashes like the Fraction or int it equals
-        return hash((self.a, self.b)) if self.b else hash(self.a)
+        if self.B:
+            return hash((self.A, self.B, self.D))
+        return hash(self.A) if self.D == 1 else hash(Fraction(self.A, self.D))
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.A or self.B)
 
     def __str__(self):
         return format_scalar(self)

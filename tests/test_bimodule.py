@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from dcubed.scalar import Q
 from dcubed.freealg import AlgebraElement
-from dcubed.bimodule import BimoduleMap, preset_map
+from dcubed.bimodule import MAX_N, BimoduleMap, preset_map
 from dcubed.tensoralg import push_through
 
 from conftest import PRESET_NAMES, random_algebra, x
@@ -125,3 +126,17 @@ def test_long_word_matrix():
     word = x(2, *([1] * 1500))
     assert mat_eq(m.matrix(word), [[word, AlgebraElement.zero(2)],
                                    [AlgebraElement.zero(2), word]])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_above_max_n_fails_before_building(name):
+    # n = 65 would build 65^3 entries; the refusal must come first
+    assert MAX_N == 64
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_N"):
+            preset_map(name, MAX_N + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

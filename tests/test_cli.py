@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcubed
 from dcubed.cli import main
 
 
@@ -302,3 +307,20 @@ def test_n_above_cap_flag_exit_code(capsys):
     code, _, err = run(capsys, "diff", "x1", "-n", "65")
     assert code == 2
     assert "n must be" in err
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["diff", "-k", "3", "x1 x2 x1 x2 x1 x2", "--preset", "scalar-twist"], 0),
+    (["member", "dx1 (*) dx1"], 0),
+    (["member", "dx1"], 1),
+])
+def test_closed_stdout_keeps_exit_code_without_traceback(argv, exit_code):
+    src = str(Path(dcubed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "dcubed.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before anything is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == exit_code
+    assert "Traceback" not in err and "BrokenPipe" not in err
