@@ -27,14 +27,15 @@ def _identity(n: int):
 
 def _mat_mul(n: int, left, right):
     out = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            acc = AlgebraElement.zero(n)
-            for t in range(n):
-                if left[k][t] and right[t][j]:
-                    acc = acc + left[k][t] * right[t][j]
-            row.append(acc)
+    for left_row in left:
+        zero = AlgebraElement.zero(n)
+        row = [zero] * n
+        for t, a in enumerate(left_row):
+            if not a:
+                continue
+            for j, b in enumerate(right[t]):
+                if b:
+                    row[j] = row[j] + a * b
         out.append(row)
     return out
 
@@ -46,8 +47,9 @@ class BimoduleMap:
     ``x^i * d^a x^j = sum_k d^a x^k * entry(i, j, k)``: row index k is the
     summed output letter, column index j the letter being crossed.
 
-    Instances are immutable after construction and may be shared freely;
-    the per-word matrix cache only ever grows.
+    Instances are immutable after construction and may be shared freely.
+    The matrix cache holds whole pushed words only, never their prefixes or
+    suffixes; it only ever grows.
     """
 
     __slots__ = ("n", "gen", "_word_cache")
@@ -73,19 +75,20 @@ class BimoduleMap:
         """The coefficient on d^a x^k produced by crossing x^i over d^a x^j."""
         return self.gen[i - 1][k - 1][j - 1]
 
+    def prefix_matrices(self, word):
+        """Yield m(w[:1]), m(w[:2]), ..., m(w): one left-to-right product walk."""
+        mat = None
+        for i in word:
+            gen = self.gen[i - 1]
+            mat = gen if mat is None else _mat_mul(self.n, mat, gen)
+            yield mat
+
     def _word_matrix(self, word):
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
-        # extend the longest cached suffix one letter at a time, caching
-        # every suffix on the way (no recursion, so long words are fine)
-        start = 1
-        while word[start:] not in self._word_cache:
-            start += 1
-        mat = self._word_cache[word[start:]]
-        for pos in range(start - 1, -1, -1):
-            mat = _mat_mul(self.n, self.gen[word[pos] - 1], mat)
-            self._word_cache[word[pos:]] = mat
+        mat = self._word_cache.get(word)
+        if mat is None:
+            for mat in self.prefix_matrices(word):
+                pass
+            self._word_cache[word] = mat
         return mat
 
     def matrix(self, u: AlgebraElement):

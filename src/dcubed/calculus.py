@@ -20,8 +20,12 @@ from .tensoralg import TensorElement
 class Calculus:
     """Derivative engine for a fixed structure map.
 
-    Word gradients are memoized within one :meth:`gradient` call only, so
-    the engine holds no state beyond its map and may be shared freely.
+    Unrolling the twisted product rule over a word gives the closed form
+
+        D_k(w) = sum_p  m(w[:p])[k][w[p]] w[p+1:],
+
+    where m of the empty prefix is the identity.  The engine holds no state
+    beyond its map and may be shared freely.
     """
 
     __slots__ = ("bmap", "n")
@@ -30,44 +34,25 @@ class Calculus:
         self.bmap = bmap
         self.n = bmap.n
 
-    def _word_gradient(self, word, memo):
-        """Gradient of one word; ``memo`` maps suffixes to their gradients."""
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        # extend the longest memoized suffix one letter at a time, memoizing
-        # every suffix on the way (no recursion, so long words are fine)
-        start = 1
-        while word[start:] not in memo:
-            start += 1
-        rest_grad = memo[word[start:]]
-        for pos in range(start - 1, -1, -1):
-            i, rest = word[pos], word[pos + 1:]
-            rest_elem = AlgebraElement.monomial(self.n, rest)
-            grad = []
-            for k in range(1, self.n + 1):
-                # D_k(x^i rest) = delta_k^i rest + sum_j m(x^i)[k][j] D_j(rest)
-                acc = rest_elem if k == i else AlgebraElement.zero(self.n)
-                row = self.bmap.gen[i - 1][k - 1]
-                for j in range(1, self.n + 1):
-                    e = row[j - 1]
-                    if e and rest_grad[j - 1]:
-                        acc = acc + e * rest_grad[j - 1]
-                grad.append(acc)
-            rest_grad = tuple(grad)
-            memo[word[pos:]] = rest_grad
-        return rest_grad
-
     def gradient(self, v: AlgebraElement):
-        """All right partial derivatives of v, as a tuple indexed by k-1."""
+        """All right partial derivatives of v, as a tuple indexed by k-1.
+
+        One walk over the prefix matrices of each word evaluates the closed
+        form; no matrix is cached.
+        """
         if v.n != self.n:
             raise ValueError(f"element has {v.n} generators, calculus has {self.n}")
         out = [AlgebraElement.zero(self.n) for _ in range(self.n)]
-        memo = {(): tuple(out)}
         for word, coeff in v.terms.items():
-            for idx, dk in enumerate(self._word_gradient(word, memo)):
-                if dk:
-                    out[idx] = out[idx] + dk.scale(coeff)
+            if not word:
+                continue
+            # p = 0: the empty prefix maps to the identity
+            out[word[0] - 1]._accumulate(word[1:], coeff)
+            for p, mat in enumerate(self.bmap.prefix_matrices(word[:-1]), start=1):
+                i, rest = word[p], word[p + 1:]
+                for dk, row in zip(out, mat):
+                    for u, c in row[i - 1].terms.items():
+                        dk._accumulate(u + rest, c * coeff)
         return tuple(out)
 
     def partial(self, k: int, v: AlgebraElement) -> AlgebraElement:

@@ -8,7 +8,6 @@ is rewritten through the minimal polynomial ``q**2 + q + 1 = 0``.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd
 
@@ -16,8 +15,8 @@ from math import gcd
 class Scalar:
     """An element ``(A + B*q) / D`` of Q(q), q a primitive cube root of unity.
 
-    ``Scalar(a, b)`` builds ``a + b*q`` from ints or Fractions; the rational
-    parts read back as the Fractions ``.a`` and ``.b``.  Values are immutable
+    ``Scalar(a, b)`` builds ``a + b*q`` from ints or Fractions, and any other
+    part (a float, a string) raises ``TypeError``; the rational parts read back as the Fractions ``.a`` and ``.b``.  Values are immutable
     by convention.  All arithmetic is exact; the identities ``q**3 == 1`` and
     ``1 + q + q**2 == 0`` hold on the nose.
     """
@@ -28,6 +27,8 @@ class Scalar:
         if a.__class__ is int and b.__class__ is int:
             self.A, self.B, self.D = a, b, 1
             return
+        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+            raise TypeError(f"scalar parts must be ints or Fractions, got {a!r}, {b!r}")
         a, b = Fraction(a), Fraction(b)
         # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
         da, db = a.denominator, b.denominator
@@ -216,37 +217,3 @@ def format_scalar(s: Scalar) -> str:
             parts.append(q_part)
     return " ".join(parts)
 
-
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<coeff>\d+(?:/\d+)?)\s*(?P<star>\*\s*q)?"
-    r"|(?P<bare_q>q)"
-    r")\s*"
-)
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Parse the output of :func:`format_scalar` (and obvious variants)."""
-    pos = 0
-    out = ZERO
-    seen = False
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad scalar syntax at position {pos}: {text!r}")
-        if seen and m.group("sign") is None:
-            raise ValueError(f"missing '+'/'-' at position {pos}: {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("bare_q"):
-            out = out + Scalar(0, sign)
-        else:
-            try:
-                coeff = Fraction(m.group("coeff")) * sign
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator at position {pos}: {text!r}") from None
-            out = out + (Scalar(0, coeff) if m.group("star") else Scalar(coeff))
-        seen = True
-        pos = m.end()
-    if not seen:
-        raise ValueError(f"empty scalar: {text!r}")
-    return out

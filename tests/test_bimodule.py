@@ -121,11 +121,13 @@ def test_scalar_twist_factor():
 
 
 def test_long_word_matrix():
-    # the word-matrix cache is filled iteratively: no recursion limit
+    # the prefix walk is a loop, so no recursion limit; the cache keeps the
+    # whole word only, not its 1499 proper prefixes
     m = preset_map("commutative", 2)
     word = x(2, *([1] * 1500))
     assert mat_eq(m.matrix(word), [[word, AlgebraElement.zero(2)],
                                    [AlgebraElement.zero(2), word]])
+    assert list(m._word_cache) == [(), (1,) * 1500]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

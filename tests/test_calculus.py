@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.parsing import parse_algebra
+from dcubed.scalar import q_power
 from dcubed.tensoralg import TensorElement, tensor_mul
 
 from conftest import PRESET_NAMES, random_algebra, x
@@ -63,7 +65,7 @@ def test_twisted_product_rule(name):
 
 def test_split_position_independence(preset_calc):
     # computing D_k by splitting a word anywhere must agree with the
-    # leading-letter recursion
+    # closed form over its prefixes
     calc = preset_calc
     rng = random.Random(41)
     for _ in range(25):
@@ -145,3 +147,21 @@ def test_long_word_gradient(commutative_calc):
     grad = commutative_calc.gradient(x(2, *([1] * 1500)))
     assert grad[0] == x(2, *([1] * 1499)).scale(1500)
     assert grad[1].is_zero
+
+
+def test_long_mixed_word_gradient():
+    # on scalar-twist m(u) is q^len(u) u times the identity, so the closed
+    # form reads D_k(w) = sum over p with w[p] = k of q^p (w without letter p)
+    calc = Calculus(preset_map("scalar-twist", 2))
+    word = (1, 2) * 200
+    tracemalloc.start()
+    try:
+        grad = calc.gradient(AlgebraElement.monomial(2, word))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for k in (1, 2):
+        expected = AlgebraElement(2, ((word[:p] + word[p + 1:], q_power(p))
+                                      for p in range(len(word)) if word[p] == k))
+        assert grad[k - 1] == expected
+    assert peak < 16 * 2**20

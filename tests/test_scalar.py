@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from dcubed.parsing import parse_algebra
 from dcubed.scalar import (
-    Scalar, ZERO, ONE, Q, Q2, q_power, q_integer, format_scalar, parse_scalar,
+    Scalar, ZERO, ONE, Q, Q2, q_power, q_integer, format_scalar,
 )
 
 
@@ -94,10 +95,11 @@ def test_parse_round_trip():
                        Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
                 for _ in range(50)]
     for s in samples:
-        assert parse_scalar(format_scalar(s)) == s
+        assert parse_algebra(format_scalar(s), 1).constant_value() == s
 
 
-def test_parse_rejects_garbage():
-    for bad in ("", "q q", "1 +", "x", "1/0"):
-        with pytest.raises(ValueError):
-            parse_scalar(bad)
+def test_constructor_rejects_floats_and_strings():
+    # no floating point: a float part is refused, not rounded to a Fraction
+    for parts in ((0.1,), (1, 0.5), ("1/2",)):
+        with pytest.raises(TypeError):
+            Scalar(*parts)
