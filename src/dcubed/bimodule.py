@@ -92,17 +92,12 @@ class BimoduleMap:
         return mat
 
     def matrix(self, u: AlgebraElement):
-        """The matrix image of u: multiplicative on words, linear overall."""
-        if u.n != self.n:
-            raise ValueError(f"element has {u.n} generators, map has {self.n}")
+        """The matrix image of u, assembled from the columns :meth:`push` returns."""
         n = self.n
         out = [[AlgebraElement.zero(n) for _ in range(n)] for _ in range(n)]
-        for word, coeff in u.terms.items():
-            mat = self._word_matrix(word)
-            for k in range(n):
-                for j in range(n):
-                    if mat[k][j]:
-                        out[k][j] = out[k][j] + mat[k][j].scale(coeff)
+        for j in range(1, n + 1):
+            for k, coeff in self.push(u, j):
+                out[k - 1][j - 1] = coeff
         return out
 
     def push(self, u: AlgebraElement, j: int):

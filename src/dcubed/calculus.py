@@ -1,13 +1,14 @@
-"""Right partial derivatives and the coordinate differentials of order 1 and 2.
+"""Right partial derivatives and the order-2 coordinate differential.
 
 The derivatives are the unique linear maps with D_k(1) = 0, D_k(x^i) = delta
 and the twisted product rule
 
     D_k(u v) = D_k(u) v + sum_j  m(u)[k][j] D_j(v),
 
-where m is the bimodule structure map.  The order-1 differential sends v to
-sum_k dx^k D_k(v) and its order-2 companion sends v to sum_k d^2 x^k D_k(v);
-both carry their coefficients on the right, ready for the tensor algebra.
+where m is the bimodule structure map.  The order-1 differential
+v -> sum_k dx^k D_k(v) is :func:`differential.d` on grade 0; its order-2
+companion v -> sum_k d^2 x^k D_k(v) is :meth:`Calculus.d2_tilde`.  Both
+carry their coefficients on the right, ready for the tensor algebra.
 """
 
 from __future__ import annotations
@@ -60,21 +61,11 @@ class Calculus:
             raise ValueError(f"derivative index {k} outside 1..{self.n}")
         return self.gradient(v)[k - 1]
 
-    def _coordinate_differential(self, grade: int, v: AlgebraElement) -> TensorElement:
-        out = TensorElement(self.n)
-        for k, dk in enumerate(self.gradient(v), start=1):
-            if dk:
-                out._accumulate(((grade, k),), dk)
-        return out
-
-    def d1(self, v: AlgebraElement) -> TensorElement:
-        """First-order differential: sum_k dx^k D_k(v)."""
-        return self._coordinate_differential(1, v)
-
     def d2_tilde(self, v: AlgebraElement) -> TensorElement:
         """Second-order coordinate differential: sum_k d^2 x^k D_k(v).
 
         Satisfies the ordinary (untwisted) product rule; it differs from the
         square of the grade-one operator by a dx (x) dx correction term.
         """
-        return self._coordinate_differential(2, v)
+        return TensorElement(self.n, {((2, k),): dk for k, dk
+                                      in enumerate(self.gradient(v), start=1) if dk})

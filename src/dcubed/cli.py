@@ -12,6 +12,7 @@ error, 3 inconclusive (bounds exhausted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,7 +23,8 @@ from .config import (
     ConfigError, SessionConfig, FORMATS, MAX_WORD_LEN, build_map, load_config,
 )
 from .differential import d_power
-from .ideal import Ideal
+from .freealg import AlgebraElement
+from .ideal import Ideal, label
 from .parsing import (
     ParseError, parse_expression, format_tensor, format_tensor_latex,
     tensor_to_obj,
@@ -139,8 +141,6 @@ def _emit(*lines, end="\n"):
 
 
 def _witness_lines(witness, n):
-    from .freealg import AlgebraElement
-
     def monomial_text(dword, word):
         return format_tensor(TensorElement.monomial(
             n, dword, AlgebraElement.monomial(n, word)))
@@ -149,8 +149,8 @@ def _witness_lines(witness, n):
     for term in witness:
         left = monomial_text(term.left_dword, term.left_word)
         right = monomial_text(term.right_dword, term.right_word)
-        ix = f"{term.i},{term.j}" if term.k is None else f"{term.i},{term.j},{term.k}"
-        lines.append(f"  ({term.coeff}) * [{left}] {term.family}({ix}) [{right}]")
+        name = label(term.family, term.i, term.j, term.k)
+        lines.append(f"  ({term.coeff}) * [{left}] {name} [{right}]")
     return lines
 
 
@@ -208,19 +208,20 @@ def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
 
 def cmd_verify(args, cfg: SessionConfig, ideal: Ideal) -> int:
     suites = tuple(args.suite) if args.suite else ("all",)
-    preset_name = cfg.preset or "custom"
-    report = run_suite(ideal, suites, seed=cfg.seed,
-                       max_word_len=args.max_word_len, preset=preset_name)
-    if cfg.format == "json":
-        _emit(json.dumps(report.to_dict(with_timing=args.timings),
-                         sort_keys=True))
-    else:
-        _emit(report.to_text(), end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(with_timing=args.timings), handle,
-                      sort_keys=True, indent=2)
-            handle.write("\n")
+    try:  # opened first, so that a bad path fails before the suite runs
+        handle = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as err:
+        raise ConfigError(f"cannot write report: {err}") from None
+    with handle or contextlib.nullcontext():
+        report = run_suite(ideal, suites, seed=cfg.seed,
+                           max_word_len=args.max_word_len, preset=cfg.preset or "custom")
+        obj = report.to_dict(with_timing=args.timings)
+        if cfg.format == "json":
+            _emit(json.dumps(obj, sort_keys=True))
+        else:
+            _emit(report.to_text(), end="")
+        if handle:
+            print(json.dumps(obj, sort_keys=True, indent=2), file=handle)
     return report.exit_code
 
 

@@ -51,11 +51,11 @@ from .tensoralg import TensorElement, tensor_mul, dword_key
 from .calculus import Calculus
 from .differential import d
 
-FAMILIES = ("dx_dx", "dx_d2x", "d2x_dx", "entry_d3", "d2x_d2x")
-
 FAMILY_GRADES = {
     "dx_dx": 2, "dx_d2x": 3, "d2x_dx": 3, "entry_d3": 3, "d2x_d2x": 4,
 }
+
+FAMILIES = tuple(FAMILY_GRADES)
 
 @dataclass
 class Bounds:
@@ -68,20 +68,25 @@ class Bounds:
     size_cap: int = 200_000
 
 
+def label(family, i, j, k=None) -> str:
+    """A generator's name: family(i,j), or family(i,j,k) for entry_d3."""
+    return f"{family}({i},{j})" if k is None else f"{family}({i},{j},{k})"
+
+
 def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
     """The five relations of the module docstring's table, x^i replaced by v.
 
-    Maps each family to its residual; "entry_d3" maps to the list of
-    d^3(e_k) for k = 1..n, where e_k = m(v)[k][j].  For v = x^i these are
-    exactly the ideal generators attached to (i, j).
+    Maps (family, k) to its residual in table order; k is None except for
+    "entry_d3", one residual d^3(m(v)[k][j]) per k = 1..n.  For v = x^i
+    these are exactly the ideal generators attached to (i, j).
     """
     n, bmap = calc.n, calc.bmap
     dv = d(calc, TensorElement.of_algebra(v))
     d2v = d(calc, dv)
-    matrix = bmap.matrix(v)
+    column = dict(bmap.push(v, j))
     entry_diffs = []  # per k: (d e_k, d^2 e_k, d^3 e_k)
-    for k in range(n):
-        d1 = d(calc, TensorElement.of_algebra(matrix[k][j - 1]))
+    for k in range(1, n + 1):
+        d1 = d(calc, TensorElement.of_algebra(column.get(k, AlgebraElement.zero(n))))
         d2 = d(calc, d1)
         entry_diffs.append((d1, d2, d(calc, d2)))
 
@@ -96,12 +101,12 @@ def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
     dx_j = TensorElement.of_letter(n, 1, j)
     d2x_j = TensorElement.of_letter(n, 2, j)
     return {
-        "dx_dx": tensor_mul(bmap, dv, dx_j) - summed(1, 1).scale(Q),
-        "dx_d2x": tensor_mul(bmap, dv, d2x_j) - summed(2, 1).scale(q_power(2)),
-        "d2x_dx": (tensor_mul(bmap, d2v, dx_j) + summed(2, 1).scale(ONE - Q)
-                   - summed(1, 2).scale(q_power(2))),
-        "entry_d3": [diffs[2] for diffs in entry_diffs],
-        "d2x_d2x": tensor_mul(bmap, d2v, d2x_j) - summed(2, 2).scale(Q),
+        ("dx_dx", None): tensor_mul(bmap, dv, dx_j) - summed(1, 1).scale(Q),
+        ("dx_d2x", None): tensor_mul(bmap, dv, d2x_j) - summed(2, 1).scale(q_power(2)),
+        ("d2x_dx", None): (tensor_mul(bmap, d2v, dx_j) + summed(2, 1).scale(ONE - Q)
+                           - summed(1, 2).scale(q_power(2))),
+        **{("entry_d3", k): diffs[2] for k, diffs in enumerate(entry_diffs, start=1)},
+        ("d2x_d2x", None): tensor_mul(bmap, d2v, d2x_j) - summed(2, 2).scale(Q),
     }
 
 
@@ -118,8 +123,7 @@ class Generator:
         return FAMILY_GRADES[self.family]
 
     def label(self) -> str:
-        ix = f"{self.i},{self.j}" if self.k is None else f"{self.i},{self.j},{self.k}"
-        return f"{self.family}({ix})"
+        return label(self.family, self.i, self.j, self.k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,7 +257,7 @@ class Ideal:
         self.calc = calc
         self.n = calc.n
         self.bounds = Bounds() if bounds is None else bounds
-        self._relations = {}  # (i, j) -> relations(calc, x^i, j)
+        self._generators = {}  # (i, j) -> generators_for(i, j)
         self._nonzero = None
         self._leads = None
         self._systems = {}
@@ -262,40 +266,27 @@ class Ideal:
     # -- generators ----------------------------------------------------------
 
     def generator_element(self, family, i, j, k=None) -> TensorElement:
-        if family not in FAMILY_GRADES:
-            raise ValueError(f"unknown generator family {family!r}")
-        rels = self._relations.get((i, j))
-        if rels is None:
-            rels = relations(self.calc, AlgebraElement.generator(self.n, i), j)
-            self._relations[(i, j)] = rels
-        if family != "entry_d3":
-            return rels[family]
-        if k is None or not 1 <= k <= self.n:
-            raise ValueError("entry_d3 generators carry an output index k in 1..n")
-        return rels[family][k - 1]
+        for gen in self.generators_for(i, j):
+            if gen.family == family and gen.k == k:
+                return gen.element
+        raise ValueError(f"no generator {label(family, i, j, k)}")
 
     def generators_for(self, i, j):
         """All generators attached to the index pair (i, j), zeros included."""
-        out = []
-        for family in FAMILIES:
-            if family == "entry_d3":
-                for k in range(1, self.n + 1):
-                    out.append(Generator(family, i, j, k,
-                                         self.generator_element(family, i, j, k)))
-            else:
-                out.append(Generator(family, i, j, None,
-                                     self.generator_element(family, i, j)))
-        return out
+        gens = self._generators.get((i, j))
+        if gens is None:
+            rels = relations(self.calc, AlgebraElement.generator(self.n, i), j)
+            gens = tuple(Generator(family, i, j, k, element)
+                         for (family, k), element in rels.items())
+            self._generators[(i, j)] = gens
+        return gens
 
     def all_generators(self):
         """Nonzero generators over all index pairs (the spanning alphabet)."""
         if self._nonzero is None:
-            gens = []
-            for i in range(1, self.n + 1):
-                for j in range(1, self.n + 1):
-                    gens.extend(g for g in self.generators_for(i, j)
-                                if not g.element.is_zero)
-            self._nonzero = tuple(gens)
+            pairs = itertools.product(range(1, self.n + 1), repeat=2)
+            self._nonzero = tuple(g for i, j in pairs for g in self.generators_for(i, j)
+                                  if not g.element.is_zero)
         return self._nonzero
 
     # -- membership ------------------------------------------------------------
@@ -428,14 +419,24 @@ class Ideal:
                                                   right_d, w2, ONE)
 
     def _count_columns(self, grade, wdeg, word_bound):
-        """Closed-form length of :meth:`_candidates`, for the size cap."""
+        """Closed-form length of :meth:`_candidates`, for the size cap.
+
+        Without letter shapes the count is 0 whatever the word bound, and
+        word counts stop being added once the total passes the cap.
+        """
         n = self.n
-        words = sum((t + 1) * n ** t for t in self._word_totals(wdeg, word_bound))
         shapes = sum(len(_dwords_of_grade(n, g1))
                      * len(_dwords_of_grade(n, grade - gen.grade - g1))
                      for gen in self.all_generators()
                      for g1 in range(grade - gen.grade + 1))
-        return shapes * words
+        if not shapes:
+            return 0
+        total = 0
+        for t in self._word_totals(wdeg, word_bound):
+            total += shapes * (t + 1) * n ** t
+            if total > self.bounds.size_cap:
+                break
+        return total
 
     def _product(self, term) -> TensorElement:
         """left * generator * right of a witness term, without its coefficient."""

@@ -16,8 +16,9 @@ class Scalar:
     """An element ``(A + B*q) / D`` of Q(q), q a primitive cube root of unity.
 
     ``Scalar(a, b)`` builds ``a + b*q`` from ints or Fractions, and any other
-    part (a float, a string) raises ``TypeError``; the rational parts read back as the Fractions ``.a`` and ``.b``.  Values are immutable
-    by convention.  All arithmetic is exact; the identities ``q**3 == 1`` and
+    part (a float, a string) raises ``TypeError``; the rational parts read
+    back as the Fractions ``.a`` and ``.b``.  Values are immutable by
+    convention.  All arithmetic is exact; the identities ``q**3 == 1`` and
     ``1 + q + q**2 == 0`` hold on the nose.
     """
 

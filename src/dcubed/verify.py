@@ -15,6 +15,7 @@ coefficients.  All other instances are congruences.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections import namedtuple
@@ -83,28 +84,18 @@ class CheckReport:
     duration_s: float = 0.0
 
     @property
-    def failed(self):
-        return [i for i in self.instances if i.verdict == "fail"]
-
-    @property
-    def inconclusive(self):
-        return [i for i in self.instances if i.verdict == "inconclusive"]
+    def counts(self) -> dict:
+        """Instances per verdict, every verdict present."""
+        return {v: sum(i.verdict == v for i in self.instances) for v in EXIT_CODES}
 
     @property
     def verdict(self) -> str:
-        return _worst(i.verdict for i in self.instances)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+        return _worst(v for v, count in self.counts.items() if count)
 
     def to_dict(self, with_timing=False):
         out = {"name": self.name,
-               "passed": self.passed,
-               "counts": {"pass": len(self.instances) - len(self.failed)
-                          - len(self.inconclusive),
-                          "fail": len(self.failed),
-                          "inconclusive": len(self.inconclusive)},
+               "passed": self.verdict == "pass",
+               "counts": self.counts,
                "instances": [i.to_dict() for i in self.instances]}
         if with_timing:
             out["duration_s"] = round(self.duration_s, 3)
@@ -134,8 +125,8 @@ class SuiteReport:
             "suites": [r.to_dict(with_timing) for r in self.reports],
             "summary": {
                 "passed": self.verdict == "pass",
-                "failures": sum(len(r.failed) for r in self.reports),
-                "inconclusive": sum(len(r.inconclusive) for r in self.reports),
+                "failures": sum(r.counts["fail"] for r in self.reports),
+                "inconclusive": sum(r.counts["inconclusive"] for r in self.reports),
             },
         }
 
@@ -221,18 +212,10 @@ def check_congruences(ideal: Ideal, v: AlgebraElement, j: int) -> list:
     the oracle returns one-term witnesses.
     """
     inputs = {"v": format_algebra(v), "j": str(j)}
-    out = []
-    rels = relations(ideal.calc, v, j)
-    for family, name in zip(FAMILIES, CONGRUENCES):
-        if family == "entry_d3":
-            for k, residual in enumerate(rels[family], start=1):
-                out.append(_membership_instance(
-                    ideal, f"congruence:{name}", {**inputs, "k": str(k)},
-                    residual))
-        else:
-            out.append(_membership_instance(
-                ideal, f"congruence:{name}", inputs, rels[family]))
-    return out
+    names = dict(zip(FAMILIES, CONGRUENCES))
+    return [_membership_instance(ideal, f"congruence:{names[family]}",
+                                 inputs if k is None else {**inputs, "k": str(k)}, residual)
+            for (family, k), residual in relations(ideal.calc, v, j).items()]
 
 
 def check_d2_binomial(ideal: Ideal, u: AlgebraElement,
@@ -291,7 +274,6 @@ def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
 
 
 def _all_words(n, max_len):
-    import itertools
     for length in range(max_len + 1):
         yield from itertools.product(range(1, n + 1), repeat=length)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -324,3 +325,26 @@ def test_closed_stdout_keeps_exit_code_without_traceback(argv, exit_code):
     proc.stderr.close()
     assert proc.wait(timeout=60) == exit_code
     assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+@pytest.mark.parametrize("expr, exit_code", [
+    ("dx1", 1),                    # the grade-1 system has no columns at all
+    ("dx1 dx2 + dx2 dx1 x1", 3),   # grade 2 passes the size cap
+])
+def test_huge_word_bound_answers_at_once(capsys, expr, exit_code):
+    started = time.perf_counter()
+    code, _, _ = run(capsys, "member", expr, "--preset", "constant",
+                     "--word-bound", "100000")
+    assert code == exit_code
+    assert time.perf_counter() - started < 2
+
+
+@pytest.mark.parametrize("target", ["missing/dir/report.json", ""])
+def test_verify_unwritable_report_path(capsys, tmp_path, target):
+    # a missing directory, then the directory itself
+    path = tmp_path / target if target else tmp_path
+    code, out, err = run(capsys, "verify", "--suite", "d3", "--report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write report: ")
+    assert len(err.splitlines()) == 1
