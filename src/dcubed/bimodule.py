@@ -133,7 +133,10 @@ class BimoduleMap:
         """Common homogeneous degree of all nonzero entries, or None.
 
         A return of 1 means every coefficient push preserves word degree,
-        which makes the whole tensor algebra bigraded by (grade, word degree).
+        which makes the whole tensor algebra bigraded by (grade, word
+        degree).  A return of 0 means every entry is a scalar: the ideal is
+        then the span of all dwords of at least two letters, graded too.
+        Either way the oracle spans each bidegree exactly.
         """
         degree = None
         for *_ix, e in self.entries():

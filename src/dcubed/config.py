@@ -94,6 +94,8 @@ def load_config(path: str) -> SessionConfig:
         raise ConfigError(f"cannot read config file: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except ValueError as err:  # not UTF-8, or an integer past the int/str digit limit
+        raise ConfigError(f"cannot read config file: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = _unknown(raw, SessionConfig)

@@ -19,22 +19,20 @@ The zeroth-order push-through relations are not emitted: coefficients are
 always stored to the right of the letters, so those relations hold
 identically in the representation and would only contribute zero vectors.
 
-Membership is decided by exact linear algebra over Q(q): enumerate the
-products  left-monomial * generator * right-monomial  of the right grade
-within the configured bounds, and reduce the query against an
-incrementally built echelon basis of their span.  A ``member`` verdict
-always carries a witness combination that re-expands to the query exactly;
-``not_member_at_bound`` is conclusive only relative to the bounds, which
-an :class:`Ideal` reads from its one :class:`Bounds`.  When
-every nonzero map entry is homogeneous of word degree 1 the whole algebra
-is bigraded by (grade, word degree), and the oracle enumerates each
-bidegree component exactly instead of sweeping everything under a bound.
+Membership is decided by exact linear algebra over Q(q): reduce the query
+against an incrementally built echelon basis of the span of the products
+left-monomial * generator * right-monomial of its grade.  A ``member``
+verdict carries a witness that re-expands to the query exactly.  When
+every nonzero map entry is homogeneous of word degree 0 or 1 the ideal is
+graded by (grade, word degree), and each bidegree is spanned exactly (see
+:meth:`Ideal._word_lengths`).  Other maps sweep every word degree up to
+``Bounds.word_bound``, so ``not_member_at_bound`` holds relative to it.
 
 The residual of a verdict is the normal form of the query: what is left
 after reducing every component against its echelon basis, which is the
 one representative of the query's coset that touches no pivot key.  It is
 zero exactly for members, reducing it again leaves it unchanged, and it
-differs from the query by a member.  On a bigraded map each echelon basis
+differs from the query by a member.  On the exact path each echelon basis
 is a truncated Groebner basis of its bidegree (Bergman's diamond lemma);
 on the bounded path the normal form is canonical relative to the word
 bound.
@@ -262,6 +260,7 @@ class Ideal:
         self._leads = None
         self._systems = {}
         self._uniform_degree = calc.bmap.uniform_entry_degree()
+        self._exact = self._uniform_degree in (0, 1)
 
     # -- generators ----------------------------------------------------------
 
@@ -304,12 +303,8 @@ class Ideal:
         if direct is not None:
             return Verdict("member", witness=[direct])
 
-        exact = self._uniform_degree == 1
-        if exact:
-            components = e.bidegree_components()
-        else:
-            components = {(g, None): part
-                          for g, part in e.grade_components().items()}
+        components = (e.bidegree_components() if self._exact else
+                      {(g, None): part for g, part in e.grade_components().items()})
 
         witness = []
         residual = TensorElement.zero(self.n)
@@ -396,44 +391,49 @@ class Ideal:
         self._systems[key] = (echelon, columns)
         return self._systems[key]
 
-    @staticmethod
-    def _word_totals(wdeg, word_bound):
-        """Summed word lengths of left and right: wdeg, or up to word_bound."""
-        return (wdeg,) if wdeg is not None else range(word_bound + 1)
+    def _shapes(self, grade):
+        """The (generator, left letters, right letters) of each column of a grade."""
+        n = self.n
+        return [(gen, left_d, right_d)
+                for gen in self.all_generators()
+                for g1 in range(grade - gen.grade + 1)
+                for left_d, right_d in itertools.product(
+                    _dwords_of_grade(n, g1), _dwords_of_grade(n, grade - gen.grade - g1))]
+
+    def _word_lengths(self, wdeg, word_bound):
+        """Lazy (left, right) word lengths of the columns of a system.
+
+        Bounded (wdeg None): every split of every total up to word_bound.
+        Degree 1: every split of wdeg; a left word can add rank there.
+        Degree 0: only (0, wdeg).  Scalar entries have zero derivatives, so
+        every generator is a bare two-letter dword (entry_d3 vanishes) and
+        a left word crosses letters as scalars.  I_q is then the span of
+        all dwords of at least two letters, and the columns with an empty
+        left word span each of its bidegrees.
+        """
+        if wdeg is not None and self._uniform_degree == 0:
+            return ((0, wdeg),)
+        totals = (wdeg,) if wdeg is not None else range(word_bound + 1)
+        return ((l1, total - l1) for total in totals for l1 in range(total + 1))
 
     def _candidates(self, grade, wdeg, word_bound):
         """The system's unit-coefficient terms left * generator * right."""
-        n = self.n
-        for gen in self.all_generators():
-            for g1 in range(grade - gen.grade + 1):
-                for left_d, right_d in itertools.product(
-                        _dwords_of_grade(n, g1),
-                        _dwords_of_grade(n, grade - gen.grade - g1)):
-                    for total in self._word_totals(wdeg, word_bound):
-                        for l1 in range(total + 1):
-                            for w1, w2 in itertools.product(
-                                    _words_of_length(n, l1),
-                                    _words_of_length(n, total - l1)):
-                                yield WitnessTerm(left_d, w1, gen.family,
-                                                  gen.i, gen.j, gen.k,
-                                                  right_d, w2, ONE)
+        for gen, left_d, right_d in self._shapes(grade):
+            for l1, l2 in self._word_lengths(wdeg, word_bound):
+                for w1, w2 in itertools.product(_words_of_length(self.n, l1),
+                                                _words_of_length(self.n, l2)):
+                    yield WitnessTerm(left_d, w1, gen.family, gen.i, gen.j, gen.k,
+                                      right_d, w2, ONE)
 
     def _count_columns(self, grade, wdeg, word_bound):
-        """Closed-form length of :meth:`_candidates`, for the size cap.
+        """Length of :meth:`_candidates`, for the size cap.
 
-        Without letter shapes the count is 0 whatever the word bound, and
-        word counts stop being added once the total passes the cap.
+        Without shapes the count is 0 whatever the word bound, and word
+        counts stop being added once the total passes the cap.
         """
-        n = self.n
-        shapes = sum(len(_dwords_of_grade(n, g1))
-                     * len(_dwords_of_grade(n, grade - gen.grade - g1))
-                     for gen in self.all_generators()
-                     for g1 in range(grade - gen.grade + 1))
-        if not shapes:
-            return 0
-        total = 0
-        for t in self._word_totals(wdeg, word_bound):
-            total += shapes * (t + 1) * n ** t
+        shapes, total = len(self._shapes(grade)), 0
+        for l1, l2 in self._word_lengths(wdeg, word_bound) if shapes else ():
+            total += shapes * self.n ** (l1 + l2)
             if total > self.bounds.size_cap:
                 break
         return total

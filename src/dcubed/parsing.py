@@ -101,6 +101,14 @@ class _Parser:
         _, _, pos = self.peek()
         raise ParseError(message, pos, self.src)
 
+    def integer(self, digits: str, pos: int) -> int:
+        """int(digits); past Python's int/str digit limit, a ParseError."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise ParseError(f"integer literal of {len(digits)} digits is too long",
+                             pos, self.src) from None
+
     # -- value helpers ---------------------------------------------------------
 
     def _of_scalar(self, s: Scalar) -> TensorElement:
@@ -181,12 +189,14 @@ class _Parser:
             return out
         if kind == "qint":
             self.advance()
-            n = int(re.search(r"\d+", value).group())
+            n = self.integer(re.search(r"\d+", value).group(), pos)
             return self._of_scalar(q_integer(n))
         if kind == "number":
             self.advance()
+            num, _, den = value.partition("/")
             try:
-                return self._of_scalar(Scalar(Fraction(value)))
+                return self._of_scalar(Scalar(Fraction(self.integer(num, pos),
+                                                       self.integer(den or "1", pos))))
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {value!r}", pos, self.src) from None
         if kind == "name":
@@ -211,7 +221,7 @@ class _Parser:
             from .differential import d as apply_d
             return apply_d(self.calc, inner)
         if value.startswith("x") and value[1:].isdigit():
-            index = int(value[1:])
+            index = self.integer(value[1:], pos)
             if not 1 <= index <= self.n:
                 raise ParseError(f"unknown generator {value!r} (n = {self.n})",
                                  pos, self.src)
@@ -220,8 +230,8 @@ class _Parser:
         if m:
             if self.calc is None:
                 raise ParseError("letters not allowed here", pos, self.src)
-            grade = int(m.group(1) or "1")
-            index = int(m.group(2))
+            grade = self.integer(m.group(1) or "1", pos)
+            index = self.integer(m.group(2), pos)
             if grade == 0 or grade > 2:
                 raise ParseError(
                     f"no grade-{grade} letters: d^3 x^i = 0", pos, self.src)

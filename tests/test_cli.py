@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -331,9 +332,12 @@ def test_closed_stdout_keeps_exit_code_without_traceback(argv, exit_code):
     ("dx1", 1),                    # the grade-1 system has no columns at all
     ("dx1 dx2 + dx2 dx1 x1", 3),   # grade 2 passes the size cap
 ])
-def test_huge_word_bound_answers_at_once(capsys, expr, exit_code):
+def test_huge_word_bound_answers_at_once(capsys, tmp_path, expr, exit_code):
+    # the quadratic map takes the bounded path, which sweeps every word degree
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps(QUADRATIC))
     started = time.perf_counter()
-    code, _, _ = run(capsys, "member", expr, "--preset", "constant",
+    code, _, _ = run(capsys, "member", expr, "--config", str(path),
                      "--word-bound", "100000")
     assert code == exit_code
     assert time.perf_counter() - started < 2
@@ -348,3 +352,57 @@ def test_verify_unwritable_report_path(capsys, tmp_path, target):
     assert out == ""
     assert err.startswith("error: cannot write report: ")
     assert len(err.splitlines()) == 1
+
+
+# one digit past Python's int/str conversion limit (0 when it is switched off)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int/str digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("expr", [LONG, f"1/{LONG}", f"[{LONG}]_q", f"x{LONG}",
+                                  f"dx{LONG}", f"d{LONG}x1"],
+                         ids=["number", "denominator", "q-integer", "generator",
+                              "letter index", "letter grade"])
+def test_overlong_integer_in_expression(capsys, expr):
+    code, out, err = run(capsys, "diff", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too long" in err
+    assert len(err.splitlines()) == 1
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("doc", [
+    f'{{"n": {LONG}, "preset": "commutative"}}',
+    f'{{"seed": {LONG}, "preset": "commutative"}}',
+    f'{{"bounds": {{"size_cap": {LONG}}}, "preset": "commutative"}}',
+    f'{{"n": 1, "xi_entries": [[["{LONG}"]]]}}',
+], ids=["n", "seed", "size_cap", "xi_entries"])
+def test_overlong_integer_in_config(capsys, tmp_path, doc):
+    path = tmp_path / "session.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "diff", "x1", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_config_not_utf8(capsys, tmp_path):
+    path = tmp_path / "session.json"
+    path.write_bytes(b'{"n": 2, "preset": "\xff"}')
+    code, out, err = run(capsys, "diff", "x1", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_console_script_resolves_to_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = scripts["dcubed"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main

@@ -177,18 +177,23 @@ def test_size_cap_reports_bound_exceeded():
 
 
 # Candidate columns of the one system dx1 * dx_dx(1,2) * x1 needs: grade 3
-# from 24 (generator, left letters, right letters) shapes, times the word
-# pairs of total length 1 (bigraded: 4) or of length at most 1 (bounded: 5).
-@pytest.mark.parametrize("name, columns", [("commutative", 96), ("constant", 120)])
+# from (generator, left letters, right letters) shapes, times word pairs.
+# commutative (degree 1): 24 shapes times the 4 word pairs of total length 1.
+# constant (degree 0): 24 shapes, an empty left word and 2 right words.
+# quadratic (bounded, word bound 1): 28 shapes, entry_d3 being nonzero
+# there, times the 5 word pairs of total length at most 1.
+@pytest.mark.parametrize("name, columns", [("commutative", 96), ("constant", 48),
+                                           ("quadratic", 140)])
 def test_size_cap_boundary(name, columns):
-    calc = Calculus(preset_map(name, 2))
-    bmap = calc.bmap
+    bmap = quadratic_map() if name == "quadratic" else preset_map(name, 2)
+    word_bound = 1 if name == "quadratic" else None
+    calc = Calculus(bmap)
     gen = Ideal(calc).generator_element("dx_dx", 1, 2)
     query = tensor_mul(bmap, tensor_mul(bmap, mono(2, ((1, 1),)), gen),
                        TensorElement.of_algebra(x(2, 1)))
-    assert Ideal(calc, Bounds(size_cap=columns)).membership(query).is_member
-    assert Ideal(calc, Bounds(size_cap=columns - 1)).membership(query).status \
-        == "bound_exceeded"
+    for cap, status in ((columns, "member"), (columns - 1, "bound_exceeded")):
+        bounds = Bounds(word_bound=word_bound, size_cap=cap)
+        assert Ideal(calc, bounds).membership(query).status == status
 
 
 def test_membership_word_bound_limits():

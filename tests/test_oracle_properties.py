@@ -121,9 +121,6 @@ def test_the_residual_is_a_normal_form(name, terms, member_terms):
 @examples
 @given(presets, elements(2), st.lists(products, min_size=1, max_size=2))
 def test_the_normal_form_is_constant_on_cosets(name, terms, member_terms):
-    # constant takes the bounded path, where e and e + m may derive
-    # different word bounds; its map absorbs a word that crosses a letter,
-    # so a larger bound adds only duplicate columns and the forms still agree
     ideal = IDEALS[name]
     e = element(terms)
     m = combination(ideal, member_terms)

@@ -1,10 +1,20 @@
 """Ranks of small oracle systems checked against sympy's exact rank.
 
-The oracle keeps one echelon row per independent column it enumerates, and
-drops columns that are scalar multiples of earlier ones.  Its row count must
-therefore equal the rank of every nonzero candidate product, undeduplicated,
-computed independently over ``QQ<sqrt(-3)>`` with ``q = (-1 + sqrt(-3))/2``.
+The reference enumerates every product  L * generator * R  itself, over all
+splits of the coefficient words between the left and the right monomial,
+and computes their rank independently over ``QQ<sqrt(-3)>`` with
+``q = (-1 + sqrt(-3))/2``.  The oracle keeps one echelon row per
+independent column it enumerates, so its row count must equal that rank.
+
+A bounded system (wdeg None) spans every product of total word length up
+to its word bound.  An exact system spans the bidegree (grade, wdeg) of a
+graded ideal: the reference takes the products of total word length up to
+wdeg + 1, checks that each is homogeneous, and keeps those of word degree
+wdeg.  On a degree-0 map that includes products with a nonempty left word,
+which the oracle leaves out; on a degree-1 map a left word adds rank.
 """
+
+import itertools
 
 import pytest
 
@@ -14,17 +24,31 @@ from sympy.polys.matrices import DomainMatrix
 
 from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
+from dcubed.config import SessionConfig, build_map
+from dcubed.freealg import AlgebraElement
 from dcubed.ideal import Ideal, _vectorize
+from dcubed.tensoralg import TensorElement, tensor_mul
 
 # building the field takes about half a second: once per module
 FIELD = sympy.QQ.algebraic_field(sympy.sqrt(-3))
 ROOT = FIELD.from_sympy((-1 + sympy.sqrt(-3)) / 2)
+
+# a degree-1 map on which left words add rank at (3, 1)
+DEGREE_ONE = [[["(-1-q) x1 + x2", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]
 
 BIGRADED_SHAPES = ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0))
 CASES = [(name, grade, wdeg, None)
          for name in ("commutative", "scalar-twist")
          for grade, wdeg in BIGRADED_SHAPES]
 CASES += [("constant", grade, None, 1) for grade in (2, 3)]
+CASES += [("constant", grade, 1, None) for grade in (2, 3)]
+CASES += [("degree-one", 3, 1, None)]
+
+
+def structure_map(name):
+    if name == "degree-one":
+        return build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))
+    return preset_map(name, 2)
 
 
 def image(s):
@@ -32,16 +56,64 @@ def image(s):
             + FIELD.from_sympy(sympy.Rational(s.B, s.D)) * ROOT)
 
 
-@pytest.mark.parametrize("name, grade, wdeg, word_bound", CASES)
-def test_system_rank_matches_sympy(name, grade, wdeg, word_bound):
-    ideal = Ideal(Calculus(preset_map(name, 2)))
-    echelon, _ = ideal._system(grade, wdeg, word_bound)
-    products = (ideal._product(term)
-                for term in ideal._candidates(grade, wdeg, word_bound))
+def rank(products):
     vectors = [_vectorize(product) for product in products if product]
     assert vectors
     keys = sorted({key for vec in vectors for key in vec})
     rows = [[image(vec[key]) if key in vec else FIELD.zero for key in keys]
             for vec in vectors]
-    matrix = DomainMatrix(rows, (len(rows), len(keys)), FIELD)
-    assert len(echelon.rows) == matrix.rank()
+    return DomainMatrix(rows, (len(rows), len(keys)), FIELD).rank()
+
+
+def monomials(n, grade, length):
+    """Every monomial letters * word of the given grade and word length."""
+    letters = [(a, i) for a in (1, 2) for i in range(1, n + 1)]
+    return [TensorElement.monomial(n, dword, AlgebraElement.monomial(n, word))
+            for size in range(grade + 1)
+            for dword in itertools.product(letters, repeat=size)
+            if sum(a for a, _ in dword) == grade
+            for word in itertools.product(range(1, n + 1), repeat=length)]
+
+
+def products(ideal, grade, totals, left_words=True):
+    """L * g * R of the given grade, |L's word| + |R's word| in totals."""
+    n, bmap = ideal.n, ideal.calc.bmap
+    for gen in ideal.all_generators():
+        for g1 in range(grade - gen.grade + 1):
+            for total in totals:
+                for l1 in range(total + 1 if left_words else 1):
+                    for left in monomials(n, g1, l1):
+                        for right in monomials(n, grade - gen.grade - g1, total - l1):
+                            yield tensor_mul(bmap, tensor_mul(bmap, left, gen.element),
+                                             right)
+
+
+def bidegree_part(products, grade, wdeg):
+    """The products of bidegree (grade, wdeg); each must be homogeneous."""
+    for product in products:
+        parts = product.bidegree_components()
+        assert len(parts) <= 1
+        if (grade, wdeg) in parts:
+            yield product
+
+
+@pytest.mark.parametrize("name, grade, wdeg, word_bound", CASES)
+def test_system_rank_matches_sympy(name, grade, wdeg, word_bound):
+    ideal = Ideal(Calculus(structure_map(name)))
+    echelon, _ = ideal._system(grade, wdeg, word_bound)
+    if wdeg is None:
+        reference = products(ideal, grade, range(word_bound + 1))
+    else:
+        reference = bidegree_part(products(ideal, grade, range(wdeg + 2)), grade, wdeg)
+    assert len(echelon.rows) == rank(reference)
+
+
+def test_left_words_add_rank_on_a_degree_one_map():
+    ideal = Ideal(Calculus(structure_map("degree-one")))
+    assert ideal.calc.bmap.uniform_entry_degree() == 1
+    every = list(products(ideal, 3, (1,)))
+    right_only = list(products(ideal, 3, (1,), left_words=False))
+    assert (len(every), len(right_only)) == (96, 48)
+    assert (rank(every), rank(right_only)) == (27, 26)
+    echelon, _ = ideal._system(3, 1, None)
+    assert len(echelon.rows) == 27
