@@ -48,8 +48,9 @@ class BimoduleMap:
     summed output letter, column index j the letter being crossed.
 
     Instances are immutable after construction and may be shared freely.
-    The matrix cache holds whole pushed words only, never their prefixes or
-    suffixes; it only ever grows.
+    The word cache maps a whole pushed word w (never its prefixes or
+    suffixes) to the sparse columns of m(w): per letter j, the nonzero
+    (k, m(w)[k][j]) pairs in ascending k.  It only ever grows.
     """
 
     __slots__ = ("n", "gen", "_word_cache")
@@ -69,7 +70,8 @@ class BimoduleMap:
                             f"matrix entry for generator {i} lives in the wrong algebra")
         self.n = n
         self.gen = [[list(row) for row in mat] for mat in gen_matrices]
-        self._word_cache = {(): _identity(n)}
+        one = AlgebraElement.one(n)
+        self._word_cache = {(): tuple(((j, one),) for j in range(1, n + 1))}
 
     def entry(self, i: int, j: int, k: int) -> AlgebraElement:
         """The coefficient on d^a x^k produced by crossing x^i over d^a x^j."""
@@ -83,13 +85,15 @@ class BimoduleMap:
             mat = gen if mat is None else _mat_mul(self.n, mat, gen)
             yield mat
 
-    def _word_matrix(self, word):
-        mat = self._word_cache.get(word)
-        if mat is None:
+    def _word_columns(self, word):
+        columns = self._word_cache.get(word)
+        if columns is None:
             for mat in self.prefix_matrices(word):
                 pass
-            self._word_cache[word] = mat
-        return mat
+            columns = tuple(tuple((k, row[j]) for k, row in enumerate(mat, start=1) if row[j])
+                            for j in range(self.n))
+            self._word_cache[word] = columns
+        return columns
 
     def matrix(self, u: AlgebraElement):
         """The matrix image of u, assembled from the columns :meth:`push` returns."""
@@ -104,18 +108,18 @@ class BimoduleMap:
         """Decompose u * d^a x^j as sum_k d^a x^k * coeff_k, for either
         letter grade a (the same map serves both).
 
-        Returns the nonzero (k, coeff_k) pairs.
+        Returns the nonzero (k, coeff_k) pairs in ascending k.  Each word of
+        u contributes only the nonzero entries of its cached column j.
         """
         if u.n != self.n:
             raise ValueError(f"element has {u.n} generators, map has {self.n}")
-        n = self.n
-        column = [AlgebraElement.zero(n) for _ in range(n)]
+        column = {}
         for word, coeff in u.terms.items():
-            mat = self._word_matrix(word)
-            for k in range(n):
-                if mat[k][j - 1]:
-                    column[k] = column[k] + mat[k][j - 1].scale(coeff)
-        return [(k + 1, c) for k, c in enumerate(column) if c]
+            for k, entry in self._word_columns(word)[j - 1]:
+                pushed = entry.scale(coeff)
+                cur = column.get(k)
+                column[k] = pushed if cur is None else cur + pushed
+        return [(k, c) for k, c in sorted(column.items()) if c]
 
     # -- structural inspection (drives the oracle's path and word bound) ---
 

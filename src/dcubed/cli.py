@@ -6,7 +6,8 @@ Subcommands: ``diff`` (iterated differential of an expression), ``reduce``
 check suites and emit a report).
 
 Exit codes: 0 ok, 1 check failure / non-membership, 2 parse or config
-error, 3 inconclusive (bounds exhausted).
+error, 3 inconclusive (bounds exhausted, or a result scalar too long to
+print).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .parsing import (
     ParseError, parse_expression, format_tensor, format_tensor_latex,
     tensor_to_obj,
 )
+from .scalar import DigitLimitError
 from .tensoralg import TensorElement
 from .verify import OUTCOMES, SUITES, run_suite
 
@@ -242,6 +244,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except DigitLimitError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -364,7 +364,14 @@ class Ideal:
         return None
 
     def _system(self, grade, wdeg, word_bound):
-        """Echelon basis of the bounded span at the given (bi)degree."""
+        """Echelon basis of the bounded span at the given (bi)degree.
+
+        The candidates come generator-major, and every left factor of one
+        generator multiplies the same products generator * right: each is
+        built once and dropped when the generator changes.  Holding them
+        for the whole system would keep every generator's products alive
+        until the build ends, for no further reuse.
+        """
         key = (grade, wdeg, None if wdeg is not None else word_bound)
         cached = self._systems.get(key)
         if cached is not None:
@@ -375,8 +382,15 @@ class Ideal:
         echelon = _Echelon()
         columns = []  # column id -> unit-coefficient WitnessTerm
         seen = set()
+        gen_rights, gen_id = {}, None  # (right letters, right word) -> gen * R
         for term in self._candidates(grade, wdeg, word_bound):
-            col = self._product(term)
+            if (term.family, term.i, term.j, term.k) != gen_id:
+                gen_rights, gen_id = {}, (term.family, term.i, term.j, term.k)
+            right = (term.right_dword, term.right_word)
+            gen_right = gen_rights.get(right)
+            if gen_right is None:
+                gen_right = gen_rights[right] = self._gen_right(term)
+            col = self._product(term, gen_right)
             if col.is_zero:
                 continue
             vec = _vectorize(col)
@@ -438,15 +452,30 @@ class Ideal:
                 break
         return total
 
-    def _product(self, term) -> TensorElement:
-        """left * generator * right of a witness term, without its coefficient."""
-        n, bmap = self.n, self.calc.bmap
-        left = TensorElement.monomial(
-            n, term.left_dword, AlgebraElement.monomial(n, term.left_word))
+    def _gen_right(self, term) -> TensorElement:
+        """generator * right of a witness term."""
+        n = self.n
         right = TensorElement.monomial(
             n, term.right_dword, AlgebraElement.monomial(n, term.right_word))
         gen = self.generator_element(term.family, term.i, term.j, term.k)
-        return tensor_mul(bmap, left, tensor_mul(bmap, gen, right))
+        return tensor_mul(self.calc.bmap, gen, right)
+
+    def _product(self, term, gen_right=None) -> TensorElement:
+        """left * generator * right of a witness term, without its coefficient.
+
+        ``gen_right`` is :meth:`_gen_right` of the term, when the caller
+        has it.  Only the left word is pushed through it; the left letters
+        carry the coefficient 1, which crosses no letter, so they are
+        prepended to every tensor word as they stand.
+        """
+        n = self.n
+        out = self._gen_right(term) if gen_right is None else gen_right
+        if term.left_word:
+            left = TensorElement.of_algebra(AlgebraElement.monomial(n, term.left_word))
+            out = tensor_mul(self.calc.bmap, left, out)
+        if term.left_dword:
+            out = TensorElement._new(n, {term.left_dword + w: c for w, c in out.terms.items()})
+        return out
 
     def expand_witness(self, witness) -> TensorElement:
         """Re-expand a membership witness; must reproduce the query exactly."""

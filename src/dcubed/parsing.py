@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalar import Scalar, ONE, format_scalar, q_integer
+from .scalar import Scalar, ONE, format_rational, format_scalar, q_integer
 from .freealg import AlgebraElement
 from .tensoralg import TensorElement, tensor_mul
 from .calculus import Calculus
@@ -343,7 +343,7 @@ def format_tensor_latex(e: TensorElement) -> str:
 
 
 def scalar_to_obj(s: Scalar):
-    return {"a": str(s.a), "b": str(s.b)}
+    return {"a": format_rational(s.a), "b": format_rational(s.b)}
 
 
 def algebra_to_obj(u: AlgebraElement):

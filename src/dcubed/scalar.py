@@ -8,6 +8,7 @@ is rewritten through the minimal polynomial ``q**2 + q + 1 = 0``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -195,20 +196,35 @@ def q_integer(n: int) -> Scalar:
     return _Q_INTEGERS[n % 3]
 
 
+class DigitLimitError(ValueError):
+    """A numerator or denominator has more digits than Python's int/str
+    conversion limit allows to print."""
+
+
+def format_rational(x: Fraction) -> str:
+    """``str(x)``, raising :class:`DigitLimitError` past the digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DigitLimitError(
+            "a scalar is too long to print: its numerator or denominator has "
+            f"more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: "0", "5/3", "q", "-2*q", "1 + q", "1/2 - q"."""
     if not s:
         return "0"
     parts = []
     if s.a:
-        parts.append(str(s.a))
+        parts.append(format_rational(s.a))
     if s.b:
         if s.b == 1:
             q_part = "q"
         elif s.b == -1:
             q_part = "-q"
         else:
-            q_part = f"{s.b}*q"
+            q_part = f"{format_rational(s.b)}*q"
         if parts:
             if q_part.startswith("-"):
                 parts.append("- " + q_part[1:])

@@ -5,8 +5,9 @@ import pytest
 
 from dcubed.scalar import Scalar, Q
 from dcubed.freealg import AlgebraElement
-from dcubed.bimodule import preset_map
+from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
+from dcubed.parsing import parse_algebra
 from dcubed.tensoralg import TensorElement
 
 PRESET_NAMES = ("commutative", "scalar-twist", "constant")
@@ -75,3 +76,36 @@ def normal_form(ideal, e) -> TensorElement:
 def x(n, *indices):
     """Monomial helper: x(2, 1, 2) is the word x1 x2 in a 2-generator algebra."""
     return AlgebraElement.monomial(n, indices)
+
+
+def entry_map(entries):
+    """n = 2 map from entry strings: ``entries[i-1][k-1][j-1]`` is m(x^i)[k][j]."""
+    return BimoduleMap(2, [[[parse_algebra(e, 2) for e in row] for row in mat]
+                           for mat in entries])
+
+
+# Two maps whose matrices are not diagonal: entries of word degree <= 1 with
+# several terms, and entries of word degree 2 (the bigraded path is off).
+NON_DIAGONAL_MAPS = {
+    "twisted": lambda: entry_map([
+        [["x1 + q x2", "1"], ["x2", "-q"]],
+        [["2", "x1 - x2"], ["q x1 + x2", "x2"]],
+    ]),
+    "quadratic": lambda: entry_map([
+        [["x1 x1", "x1 x2"], ["0", "x1 x1"]],
+        [["x2 x2", "0"], ["q x2 x1", "x2 x2 - x1 x2"]],
+    ]),
+}
+
+# a degree-1 map (as config xi_entries) on which left words add rank at (3, 1)
+DEGREE_ONE = [[["(-1-q) x1 + x2", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]
+
+
+def quadratic_map():
+    # entries delta^j_k x^i x^i: degree 2, so the bigraded fast path is off
+    gen = []
+    for i in (1, 2):
+        sq = x(2, i, i)
+        gen.append([[sq if k == j else AlgebraElement.zero(2)
+                     for j in range(2)] for k in range(2)])
+    return BimoduleMap(2, gen)

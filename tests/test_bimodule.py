@@ -8,7 +8,7 @@ from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import MAX_N, BimoduleMap, preset_map
 from dcubed.tensoralg import push_through
 
-from conftest import PRESET_NAMES, random_algebra, x
+from conftest import NON_DIAGONAL_MAPS, PRESET_NAMES, random_algebra, x
 
 
 def mat_eq(a, b):
@@ -58,16 +58,36 @@ def test_matrix_is_multiplicative(name):
         assert mat_eq(m.matrix(u * v), mat_mul(2, m.matrix(u), m.matrix(v)))
 
 
+def word_matrix(m, word):
+    """m(word) as the product of the generator matrices along the word."""
+    n = m.n
+    out = [[AlgebraElement.one(n) if k == j else AlgebraElement.zero(n)
+            for j in range(n)] for k in range(n)]
+    for i in word:
+        out = mat_mul(n, out, m.gen[i - 1])
+    return out
+
+
 def test_push_matches_matrix_column():
-    m = preset_map("scalar-twist", 2)
+    # push(u, j) is column j of sum coeff * m(word) over the terms of u,
+    # without the outputs k whose contributions cancel
+    twisted = NON_DIAGONAL_MAPS["twisted"]()
+    maps = [preset_map(name, 2) for name in PRESET_NAMES] + [twisted]
     rng = random.Random(19)
-    for _ in range(20):
-        u = random_algebra(rng, 2)
-        mat = m.matrix(u)
-        for j in (1, 2):
-            pushed = dict(m.push(u, j))
-            for k in (1, 2):
-                assert pushed.get(k, AlgebraElement.zero(2)) == mat[k - 1][j - 1]
+    # on twisted, m(1)[1][1] = 1 and m(x2)[1][1] = 2: 2 - x2 cancels at k = 1
+    cancelling = AlgebraElement.scalar(2, 2) - x(2, 2)
+    elements = [random_algebra(rng, 2) for _ in range(20)] + [cancelling]
+    for m in maps:
+        for u in elements:
+            mat = [[AlgebraElement.zero(2)] * 2 for _ in range(2)]
+            for word, coeff in u.terms.items():
+                term = word_matrix(m, word)
+                mat = [[a + b.scale(coeff) for a, b in zip(row, term_row)]
+                       for row, term_row in zip(mat, term)]
+            for j in (1, 2):
+                column = [(k, mat[k - 1][j - 1]) for k in (1, 2)]
+                assert m.push(u, j) == [(k, c) for k, c in column if c]
+    assert twisted.push(cancelling, 1) == [(2, -twisted.entry(2, 1, 2))]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -4,14 +4,13 @@ import tracemalloc
 import pytest
 
 from dcubed.freealg import AlgebraElement
-from dcubed.bimodule import BimoduleMap, preset_map
+from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
 from dcubed.differential import d
-from dcubed.parsing import parse_algebra
 from dcubed.scalar import q_power
 from dcubed.tensoralg import TensorElement, tensor_mul
 
-from conftest import PRESET_NAMES, random_algebra, x
+from conftest import NON_DIAGONAL_MAPS, PRESET_NAMES, random_algebra, x
 
 
 def test_derivative_of_generators_and_unit(preset_calc):
@@ -27,26 +26,6 @@ def test_commutative_square_derivative(commutative_calc):
     # D_1(x1 x1) = D_1(x1) x1 + entry(1,j,1) D_j(x1) = x1 + x1 = 2 x1
     assert commutative_calc.partial(1, x(2, 1, 1)) == x(2, 1).scale(2)
     assert commutative_calc.partial(2, x(2, 1, 1)).is_zero
-
-
-def entry_map(entries):
-    """n = 2 map from entry strings: ``entries[i-1][k-1][j-1]`` is m(x^i)[k][j]."""
-    return BimoduleMap(2, [[[parse_algebra(e, 2) for e in row] for row in mat]
-                           for mat in entries])
-
-
-# Two maps whose matrices are not diagonal: entries of word degree <= 1 with
-# several terms, and entries of word degree 2 (the bigraded path is off).
-NON_DIAGONAL_MAPS = {
-    "twisted": lambda: entry_map([
-        [["x1 + q x2", "1"], ["x2", "-q"]],
-        [["2", "x1 - x2"], ["q x1 + x2", "x2"]],
-    ]),
-    "quadratic": lambda: entry_map([
-        [["x1 x1", "x1 x2"], ["0", "x1 x1"]],
-        [["x2 x2", "0"], ["q x2 x1", "x2 x2 - x1 x2"]],
-    ]),
-}
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES + tuple(NON_DIAGONAL_MAPS))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -162,6 +163,24 @@ def test_verify_reports_are_deterministic(capsys, tmp_path):
         assert code == 0
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# sha256 of `verify --format json` stdout; a change that alters witnesses on
+# purpose measures and pins these again
+VERIFY_JSON_SHA256 = {
+    ("commutative", 2): "490bb587c4f158642732b69c16892f00c05430b81d4d67a952573b1dbb1c8f05",
+    ("scalar-twist", 2): "354136f9e9554bb73eff5e666c78fb5ada192ea6c961ce2d13ce804852d5b150",
+    ("constant", 2): "8df86851094be1ac4fbd709330ff68994c40497efbac1886fedb687a81097943",
+    ("commutative", 3): "39a8a465244f9b96cfce749d679dc88f539b7b58f1755bd897f193a502354b0b",
+}
+
+
+@pytest.mark.parametrize("preset, n", VERIFY_JSON_SHA256)
+def test_verify_json_is_pinned(capsys, preset, n):
+    code, out, _ = run(capsys, "verify", "--preset", preset, "-n", str(n),
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[(preset, n)]
 
 
 def test_config_file_roundtrip(capsys, tmp_path):
@@ -387,6 +406,25 @@ def test_overlong_integer_in_config(capsys, tmp_path, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+# under the limit as input, over it once squared
+HALF = "7" * (DIGIT_LIMIT // 2 + 1)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [
+    ["diff", f"{HALF} {HALF} x1"],
+    ["diff", f"1/{HALF} 1/{HALF} q x1", "--format", "latex"],
+    ["member", f"{HALF} {HALF} dx1", "--format", "json"],
+    ["member", f"{HALF} {HALF} (dx1 (*) dx2 - q dx2 (*) dx1)"],
+], ids=["diff", "diff-latex", "member-json", "member-witness"])
+def test_overlong_integer_in_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "too long to print" in err
     assert len(err.splitlines()) == 1
 
 

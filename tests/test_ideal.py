@@ -4,13 +4,16 @@ import pytest
 
 from dcubed.scalar import ONE, Q, q_power
 from dcubed.freealg import AlgebraElement
-from dcubed.bimodule import BimoduleMap, preset_map
+from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
+from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d, d_power
 from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES
 
-from conftest import PRESET_NAMES, normal_form, random_tensor, x
+from conftest import (
+    DEGREE_ONE, PRESET_NAMES, normal_form, quadratic_map, random_tensor, x,
+)
 
 
 @pytest.fixture(params=PRESET_NAMES)
@@ -236,16 +239,6 @@ def test_three_generators():
     assert ideal.expand_witness(verdict.witness) == e
 
 
-def quadratic_map():
-    # entries delta^j_k x^i x^i: degree 2, so the bigraded fast path is off
-    gen = []
-    for i in (1, 2):
-        sq = x(2, i, i)
-        gen.append([[sq if k == j else AlgebraElement.zero(2)
-                     for j in range(2)] for k in range(2)])
-    return BimoduleMap(2, gen)
-
-
 def test_nonlinear_map_uses_bounded_path():
     ideal = Ideal(Calculus(quadratic_map()))
     assert ideal.calc.bmap.uniform_entry_degree() == 2
@@ -263,3 +256,29 @@ def test_nonlinear_map_congruence_for_words():
     verdict = ideal.membership(e)
     assert verdict.is_member
     assert ideal.expand_witness(verdict.witness) == e
+
+
+@pytest.mark.parametrize("name, n, grade, wdeg, word_bound", [
+    ("commutative", 3, 3, 1, None),
+    ("degree-one", 2, 3, 1, None),
+    ("quadratic", 2, 2, None, 1),
+    ("constant", 2, 3, 1, None),
+])
+def test_column_products_match_tensor_mul(name, n, grade, wdeg, word_bound):
+    # every column L * g * R, against two plain products built from its fields
+    if name == "degree-one":
+        bmap = build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))
+    elif name == "quadratic":
+        bmap = quadratic_map()
+    else:
+        bmap = preset_map(name, n)
+    ideal = Ideal(Calculus(bmap))
+    terms = list(ideal._candidates(grade, wdeg, word_bound))
+    assert terms
+    for term in terms:
+        left = TensorElement.monomial(n, term.left_dword,
+                                      AlgebraElement.monomial(n, term.left_word))
+        right = TensorElement.monomial(n, term.right_dword,
+                                       AlgebraElement.monomial(n, term.right_word))
+        gen = ideal.generator_element(term.family, term.i, term.j, term.k)
+        assert ideal._product(term) == tensor_mul(bmap, left, tensor_mul(bmap, gen, right))

@@ -29,12 +29,11 @@ from dcubed.freealg import AlgebraElement
 from dcubed.ideal import Ideal, _vectorize
 from dcubed.tensoralg import TensorElement, tensor_mul
 
+from conftest import DEGREE_ONE
+
 # building the field takes about half a second: once per module
 FIELD = sympy.QQ.algebraic_field(sympy.sqrt(-3))
 ROOT = FIELD.from_sympy((-1 + sympy.sqrt(-3)) / 2)
-
-# a degree-1 map on which left words add rank at (3, 1)
-DEGREE_ONE = [[["(-1-q) x1 + x2", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]
 
 BIGRADED_SHAPES = ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0))
 CASES = [(name, grade, wdeg, None)
