@@ -13,7 +13,7 @@ construction performs shape checks only.
 from __future__ import annotations
 
 from .scalar import ONE, Q
-from .freealg import AlgebraElement
+from .freealg import AlgebraElement, check_terms
 
 # The largest generator count a preset (or a session) builds: a structure
 # map holds n^3 entries, all built before any work starts.
@@ -37,6 +37,7 @@ def _mat_mul(n: int, left, right):
                 if b:
                     row[j] = row[j] + a * b
         out.append(row)
+    check_terms(sum(len(entry.terms) for row in out for entry in row))
     return out
 
 
@@ -153,6 +154,18 @@ class BimoduleMap:
             elif e.degree() != degree:
                 return None
         return degree
+
+    def is_scalar_diagonal(self) -> bool:
+        """Whether every m(x^i) is one algebra element p_i times the identity.
+
+        Then m(u) = phi(u) I for the endomorphism phi: x^i -> p_i, and a
+        coefficient crosses every letter keeping its index:
+        u * d^a x^j = d^a x^j * phi(u).
+        """
+        return all(entry == mat[0][0] if k == j else not entry
+                   for mat in self.gen
+                   for k, row in enumerate(mat)
+                   for j, entry in enumerate(row))
 
 
 def commutative_map(n: int) -> BimoduleMap:

@@ -6,8 +6,8 @@ Subcommands: ``diff`` (iterated differential of an expression), ``reduce``
 check suites and emit a report).
 
 Exit codes: 0 ok, 1 check failure / non-membership, 2 parse or config
-error, 3 inconclusive (bounds exhausted, or a result scalar too long to
-print).
+error, 3 inconclusive (bounds exhausted, a result scalar too long to
+print, or a product of more than ``freealg.MAX_TERMS`` terms).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .config import (
     ConfigError, SessionConfig, FORMATS, MAX_WORD_LEN, build_map, load_config,
 )
 from .differential import d_power
-from .freealg import AlgebraElement
+from .freealg import AlgebraElement, TermLimitError
 from .ideal import Ideal, label
 from .parsing import (
     ParseError, parse_expression, format_tensor, format_tensor_latex,
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DigitLimitError as err:
+    except (DigitLimitError, TermLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

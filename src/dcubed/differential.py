@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .scalar import q_power
 from .calculus import Calculus
+from .freealg import check_terms
 from .tensoralg import TensorElement
 
 
@@ -38,6 +39,7 @@ def d(calc: Calculus, w: TensorElement) -> TensorElement:
         for s, ds in enumerate(calc.gradient(r), start=1):
             if ds:
                 out._accumulate(dword + ((1, s),), ds.scale(tail_weight))
+    check_terms(out.size())
     return out
 
 

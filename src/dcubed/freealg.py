@@ -13,6 +13,25 @@ from .scalar import SCALAR_TYPES, Scalar, ZERO, ONE
 
 Word = tuple  # tuple[int, ...], indices 1..n
 
+# The most scalar terms one product may hold.  The parser's products,
+# tensor_mul (and each letter of its push_through), d and each prefix
+# matrix of a word check their result against it, so that a result growing
+# exponentially with its input (a long power of a sum, a long word under a
+# map with several terms per entry) stops with TermLimitError instead of
+# taking seconds to minutes and megabytes.
+MAX_TERMS = 4096
+
+
+class TermLimitError(ArithmeticError):
+    """A product holds more than MAX_TERMS scalar terms."""
+
+
+def check_terms(count: int) -> None:
+    """Raise :class:`TermLimitError` when a product's term count passes MAX_TERMS."""
+    if count > MAX_TERMS:
+        raise TermLimitError(
+            f"a product holds {count} terms, more than MAX_TERMS = {MAX_TERMS}")
+
 
 def word_key(word: Word):
     """Deterministic word order: length first, then lexicographic."""

@@ -366,6 +366,9 @@ class Ideal:
     def _system(self, grade, wdeg, word_bound):
         """Echelon basis of the bounded span at the given (bi)degree.
 
+        Every candidate goes to :meth:`_Echelon.insert`, which rejects a
+        zero or dependent column, so ``columns`` holds exactly the
+        independent columns, one per echelon row, in candidate order.
         The candidates come generator-major, and every left factor of one
         generator multiplies the same products generator * right: each is
         built once and dropped when the generator changes.  Holding them
@@ -381,7 +384,6 @@ class Ideal:
 
         echelon = _Echelon()
         columns = []  # column id -> unit-coefficient WitnessTerm
-        seen = set()
         gen_rights, gen_id = {}, None  # (right letters, right word) -> gen * R
         for term in self._candidates(grade, wdeg, word_bound):
             if (term.family, term.i, term.j, term.k) != gen_id:
@@ -390,18 +392,8 @@ class Ideal:
             gen_right = gen_rights.get(right)
             if gen_right is None:
                 gen_right = gen_rights[right] = self._gen_right(term)
-            col = self._product(term, gen_right)
-            if col.is_zero:
-                continue
-            vec = _vectorize(col)
-            inv = vec[max(vec, key=_term_order)].inv()
-            scaled = [(k, v * inv) for k, v in vec.items()]
-            sig = tuple(sorted((k, s.A, s.B, s.D) for k, s in scaled))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            columns.append(term)
-            echelon.insert(vec, len(columns) - 1)
+            if echelon.insert(_vectorize(self._product(term, gen_right)), len(columns)):
+                columns.append(term)
         self._systems[key] = (echelon, columns)
         return self._systems[key]
 
@@ -418,14 +410,31 @@ class Ideal:
         """Lazy (left, right) word lengths of the columns of a system.
 
         Bounded (wdeg None): every split of every total up to word_bound.
-        Degree 1: every split of wdeg; a left word can add rank there.
+        Degree 1: every split of wdeg; a left word can add rank there,
+        unless the map is scalar-diagonal (below).
         Degree 0: only (0, wdeg).  Scalar entries have zero derivatives, so
         every generator is a bare two-letter dword (entry_d3 vanishes) and
         a left word crosses letters as scalars.  I_q is then the span of
         all dwords of at least two letters, and the columns with an empty
         left word span each of its bidegrees.
+
+        Degree 1 with a scalar-diagonal map (every m(x^i) is p_i times the
+        identity): only (0, wdeg) too.  Let phi be the endomorphism
+        x^i -> p_i; then m(u) = phi(u) I, so u * d^a x^j = d^a x^j * phi(u).
+        Entries of degree 1 have scalar derivatives, so every generator is
+        a two-letter dword with scalar coefficients, and a left word w
+        crosses it and the right letters R_d whole:
+
+            L_d w g R_d v  =  L_d g R_d phi^k(w) v,      k = 2 + |R_d|.
+
+        That is a combination of columns of the same shape with an empty
+        left word, which :meth:`_candidates` yields first, so no column
+        with a left word is ever independent.  The bounded path keeps its
+        left words: a scalar-diagonal map of degree 2 has generators with
+        polynomial coefficients, which a left word does not cross whole.
         """
-        if wdeg is not None and self._uniform_degree == 0:
+        if wdeg is not None and (self._uniform_degree == 0
+                                 or self.calc.bmap.is_scalar_diagonal()):
             return ((0, wdeg),)
         totals = (wdeg,) if wdeg is not None else range(word_bound + 1)
         return ((l1, total - l1) for total in totals for l1 in range(total + 1))

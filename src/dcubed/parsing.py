@@ -25,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .scalar import Scalar, ONE, format_rational, format_scalar, q_integer
-from .freealg import AlgebraElement
+from .freealg import AlgebraElement, check_terms
 from .tensoralg import TensorElement, tensor_mul
 from .calculus import Calculus
 
@@ -119,8 +119,10 @@ class _Parser:
             # algebra-only mode keeps everything in grade 0
             ua = a.terms.get((), AlgebraElement.zero(self.n))
             ub = b.terms.get((), AlgebraElement.zero(self.n))
-            return TensorElement.of_algebra(ua * ub)
-        return tensor_mul(self.calc.bmap, a, b)
+            product = ua * ub
+            check_terms(len(product.terms))
+            return TensorElement.of_algebra(product)
+        return tensor_mul(self.calc.bmap, a, b)  # checks its own result
 
     # -- grammar ---------------------------------------------------------------
 

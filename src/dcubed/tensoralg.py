@@ -15,7 +15,7 @@ the defining push-through relations hold identically in this representation.
 from __future__ import annotations
 
 from .scalar import Scalar
-from .freealg import AlgebraElement, _Sparse
+from .freealg import AlgebraElement, _Sparse, check_terms
 from .bimodule import BimoduleMap
 
 Letter = tuple  # (grade, index)
@@ -89,6 +89,10 @@ class TensorElement(_Sparse):
     def max_grade(self) -> int:
         return max((dword_grade(w) for w in self.terms), default=0)
 
+    def size(self) -> int:
+        """The number of scalar terms: words summed over all coefficients."""
+        return sum(len(coeff.terms) for coeff in self.terms.values())
+
     def max_word_degree(self) -> int:
         return max((c.degree() for c in self.terms.values()), default=0)
 
@@ -107,13 +111,18 @@ class TensorElement(_Sparse):
 
 
 def push_through(bmap: BimoduleMap, u: AlgebraElement, dword: DWord) -> "TensorElement":
-    """Canonical form of ``u * dword``: the coefficient crosses every letter."""
+    """Canonical form of ``u * dword``: the coefficient crosses every letter.
+
+    The term count is checked after each letter: on a map with several
+    terms per entry it can grow geometrically along the dword.
+    """
     out = TensorElement(u.n, {(): u})
     for grade, index in dword:
         nxt = TensorElement(u.n)
         for prefix, coeff in out.terms.items():
             for k, pushed in bmap.push(coeff, index):
                 nxt._accumulate(prefix + ((grade, k),), pushed)
+        check_terms(nxt.size())
         out = nxt
     return out
 
@@ -132,4 +141,5 @@ def tensor_mul(bmap: BimoduleMap, w: TensorElement, t: TensorElement) -> TensorE
                     out._accumulate(w1 + mid, pushed * s)
             else:
                 out._accumulate(w1, r * s)
+    check_terms(out.size())
     return out

@@ -132,6 +132,11 @@ def test_entry_degree_inspection():
     mixed = preset_map("commutative", 2).gen
     mixed[0][0][0] = x(2, 1, 1)  # degree-2 entry alongside degree-1 entries
     assert BimoduleMap(2, mixed).uniform_entry_degree() is None
+    # m(x^i) = p_i times the identity on every preset; m(x1) = diag(x1 x1, x1)
+    # in mixed, and twisted has off-diagonal entries
+    assert all(preset_map(name, 2).is_scalar_diagonal() for name in PRESET_NAMES)
+    assert not BimoduleMap(2, mixed).is_scalar_diagonal()
+    assert not NON_DIAGONAL_MAPS["twisted"]().is_scalar_diagonal()
 
 
 def test_scalar_twist_factor():

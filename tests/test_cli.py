@@ -11,6 +11,10 @@ import pytest
 
 import dcubed
 from dcubed.cli import main
+from dcubed.freealg import MAX_TERMS
+from dcubed.parsing import format_algebra
+
+from conftest import NON_DIAGONAL_MAPS
 
 
 def run(capsys, *argv):
@@ -425,6 +429,34 @@ def test_overlong_integer_in_output(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "too long to print" in err
+    assert len(err.splitlines()) == 1
+
+
+def twisted_config(tmp_path):
+    """The twisted map of conftest as a config file (xi_entries[i][j][k])."""
+    bmap = NON_DIAGONAL_MAPS["twisted"]()
+    entries = [[[format_algebra(bmap.entry(i, j, k)) for k in (1, 2)] for j in (1, 2)]
+               for i in (1, 2)]
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps({"n": 2, "xi_entries": entries}))
+    return ["--config", str(path)]
+
+
+# (x1 + x2)^18 has 2^18 terms.  Under the twisted map the prefix matrices
+# of an alternating word grow about threefold a letter, and so does x1
+# pushed through a dword.  Each passes MAX_TERMS early and stops with one
+# error line instead of running for seconds.
+@pytest.mark.parametrize("expr, twisted", [(" ".join(["(x1 + x2)"] * 18), False),
+                                           (" ".join(["x1 x2"] * 20), True),
+                                           ("x1 (" + " ".join(["dx1"] * 16) + ")", True)],
+                         ids=["power-of-sum", "twisted-word", "twisted-push"])
+def test_term_cap(capsys, tmp_path, expr, twisted):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "diff", expr, *(twisted_config(tmp_path) if twisted else ()))
+    assert time.perf_counter() - started < 2
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and f"MAX_TERMS = {MAX_TERMS}" in err
     assert len(err.splitlines()) == 1
 
 

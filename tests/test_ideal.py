@@ -181,14 +181,21 @@ def test_size_cap_reports_bound_exceeded():
 
 # Candidate columns of the one system dx1 * dx_dx(1,2) * x1 needs: grade 3
 # from (generator, left letters, right letters) shapes, times word pairs.
-# commutative (degree 1): 24 shapes times the 4 word pairs of total length 1.
-# constant (degree 0): 24 shapes, an empty left word and 2 right words.
+# commutative (degree 1, scalar-diagonal) and constant (degree 0): 24
+# shapes, an empty left word and 2 right words.
+# degree-one (degree 1, not scalar-diagonal): 24 shapes times the 4 word
+# pairs of total length 1, left words included.
 # quadratic (bounded, word bound 1): 28 shapes, entry_d3 being nonzero
 # there, times the 5 word pairs of total length at most 1.
-@pytest.mark.parametrize("name, columns", [("commutative", 96), ("constant", 48),
-                                           ("quadratic", 140)])
+@pytest.mark.parametrize("name, columns", [("commutative", 48), ("constant", 48),
+                                           ("degree-one", 96), ("quadratic", 140)])
 def test_size_cap_boundary(name, columns):
-    bmap = quadratic_map() if name == "quadratic" else preset_map(name, 2)
+    if name == "quadratic":
+        bmap = quadratic_map()
+    elif name == "degree-one":
+        bmap = build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))
+    else:
+        bmap = preset_map(name, 2)
     word_bound = 1 if name == "quadratic" else None
     calc = Calculus(bmap)
     gen = Ideal(calc).generator_element("dx_dx", 1, 2)

@@ -3,15 +3,19 @@
 The reference enumerates every product  L * generator * R  itself, over all
 splits of the coefficient words between the left and the right monomial,
 and computes their rank independently over ``QQ<sqrt(-3)>`` with
-``q = (-1 + sqrt(-3))/2``.  The oracle keeps one echelon row per
-independent column it enumerates, so its row count must equal that rank.
+``q = (-1 + sqrt(-3))/2``.  The oracle keeps one echelon row, and one
+column, per independent column it enumerates, so its row and column
+counts must both equal that rank.
 
 A bounded system (wdeg None) spans every product of total word length up
 to its word bound.  An exact system spans the bidegree (grade, wdeg) of a
 graded ideal: the reference takes the products of total word length up to
 wdeg + 1, checks that each is homogeneous, and keeps those of word degree
-wdeg.  On a degree-0 map that includes products with a nonempty left word,
-which the oracle leaves out; on a degree-1 map a left word adds rank.
+wdeg.  That includes products with a nonempty left word.  The oracle
+leaves them out on a degree-0 map and on a scalar-diagonal one (every
+m(x^i) one element times the identity); the scalar-diagonal map below has
+p_1 = x1 + x2, so crossing it recombines words instead of rescaling them.
+On the degree-1 map of ``DEGREE_ONE`` a left word adds rank.
 """
 
 import itertools
@@ -42,11 +46,16 @@ CASES = [(name, grade, wdeg, None)
 CASES += [("constant", grade, None, 1) for grade in (2, 3)]
 CASES += [("constant", grade, 1, None) for grade in (2, 3)]
 CASES += [("degree-one", 3, 1, None)]
+CASES += [("scalar-diagonal", grade, wdeg, None) for grade, wdeg in ((2, 1), (3, 1), (4, 0))]
+
+SCALAR_DIAGONAL = [[["x1 + x2", "0"], ["0", "x1 + x2"]], [["q x1", "0"], ["0", "q x1"]]]
 
 
 def structure_map(name):
     if name == "degree-one":
         return build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))
+    if name == "scalar-diagonal":
+        return build_map(SessionConfig(n=2, xi_entries=SCALAR_DIAGONAL))
     return preset_map(name, 2)
 
 
@@ -99,12 +108,12 @@ def bidegree_part(products, grade, wdeg):
 @pytest.mark.parametrize("name, grade, wdeg, word_bound", CASES)
 def test_system_rank_matches_sympy(name, grade, wdeg, word_bound):
     ideal = Ideal(Calculus(structure_map(name)))
-    echelon, _ = ideal._system(grade, wdeg, word_bound)
+    echelon, columns = ideal._system(grade, wdeg, word_bound)
     if wdeg is None:
         reference = products(ideal, grade, range(word_bound + 1))
     else:
         reference = bidegree_part(products(ideal, grade, range(wdeg + 2)), grade, wdeg)
-    assert len(echelon.rows) == rank(reference)
+    assert len(columns) == len(echelon.rows) == rank(reference)
 
 
 def test_left_words_add_rank_on_a_degree_one_map():
