@@ -122,38 +122,12 @@ class BimoduleMap:
                 column[k] = pushed if cur is None else cur + pushed
         return [(k, c) for k, c in sorted(column.items()) if c]
 
-    # -- structural inspection (drives the oracle's path and word bound) ---
+    # -- structural inspection ---------------------------------------------
 
-    def entries(self):
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                for k in range(1, self.n + 1):
-                    yield i, j, k, self.entry(i, j, k)
-
-    def max_entry_degree(self) -> int:
-        degrees = [e.degree() for *_ix, e in self.entries() if e]
-        return max(degrees, default=0)
-
-    def uniform_entry_degree(self):
-        """Common homogeneous degree of all nonzero entries, or None.
-
-        A return of 1 means every coefficient push preserves word degree,
-        which makes the whole tensor algebra bigraded by (grade, word
-        degree).  A return of 0 means every entry is a scalar: the ideal is
-        then the span of all dwords of at least two letters, graded too.
-        Either way the oracle spans each bidegree exactly.
-        """
-        degree = None
-        for *_ix, e in self.entries():
-            if e.is_zero:
-                continue
-            if not e.is_homogeneous():
-                return None
-            if degree is None:
-                degree = e.degree()
-            elif e.degree() != degree:
-                return None
-        return degree
+    def entry_degrees(self) -> set:
+        """The word lengths of the terms of every entry; empty for a zero map."""
+        return {len(word) for mat in self.gen for row in mat
+                for entry in row for word in entry.terms}
 
     def is_scalar_diagonal(self) -> bool:
         """Whether every m(x^i) is one algebra element p_i times the identity.

@@ -58,7 +58,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="output format (default text)")
     common.add_argument("--word-bound", type=int, metavar="N",
                         help="coefficient word-degree bound for the "
-                             "membership oracle (>= 0)")
+                             "membership oracle (>= 0); read only for maps "
+                             "on its bounded path, never for a preset")
     common.add_argument("--size-cap", type=int, metavar="N",
                         help="spanning-set size cap for the membership oracle")
     common.add_argument("--seed", type=int, metavar="N",
@@ -72,7 +73,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("-k", type=int, choices=(1, 2, 3), default=1,
                         help="how many times to apply d (default 1)")
     p_diff.add_argument("--mod-ideal", action="store_true",
-                        help="append the ideal-membership verdict")
+                        help="append the ideal-membership verdict (with "
+                             "--format json, one object holding both)")
 
     p_reduce = sub.add_parser("reduce", parents=[common],
                               help="normal form of an expression modulo the ideal")
@@ -156,9 +158,27 @@ def _witness_lines(witness, n):
     return lines
 
 
+def _verdict_obj(verdict) -> dict:
+    """A membership verdict as the JSON object ``member --format json`` prints."""
+    obj = {"status": verdict.status}
+    if verdict.witness is not None:
+        obj["witness"] = [t.to_dict() for t in verdict.witness]
+    if verdict.residual is not None:
+        obj["residual"] = tensor_to_obj(verdict.residual)
+    if verdict.detail:
+        obj["detail"] = verdict.detail
+    return obj
+
+
 def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
     expr = parse_expression(args.expr, ideal.calc)
     result = d_power(ideal.calc, expr, args.k)
+    if args.mod_ideal and cfg.format == "json":
+        # one JSON document: the result and its verdict together
+        verdict = ideal.membership(result)
+        _emit(json.dumps({"result": tensor_to_obj(result),
+                          "membership": _verdict_obj(verdict)}, sort_keys=True))
+        return OUTCOMES[verdict.status].exit_code
     _emit(_render(result, cfg.format))
     if not args.mod_ideal:
         return EXIT_OK
@@ -187,14 +207,7 @@ def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
     expr = parse_expression(args.expr, ideal.calc)
     verdict = ideal.membership(expr)
     if cfg.format == "json":
-        obj = {"status": verdict.status}
-        if verdict.witness is not None:
-            obj["witness"] = [t.to_dict() for t in verdict.witness]
-        if verdict.residual is not None:
-            obj["residual"] = tensor_to_obj(verdict.residual)
-        if verdict.detail:
-            obj["detail"] = verdict.detail
-        _emit(json.dumps(obj, sort_keys=True))
+        _emit(json.dumps(_verdict_obj(verdict), sort_keys=True))
     else:
         lines = [f"status: {verdict.status}"]
         if verdict.is_member:

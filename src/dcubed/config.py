@@ -19,7 +19,9 @@ explicit entries.
 ``n``, ``seed`` and the bounds are plain JSON integers (``true`` is not
 one); ``word_bound`` is >= 0 and ``size_cap`` is >= 1.  A null or missing
 bound keeps its default from :class:`dcubed.ideal.Bounds` (for
-``word_bound``, None: a bound derived per query).
+``word_bound``, None: a bound derived per query).  Only a map on the
+oracle's bounded path reads ``word_bound``; a graded map, every preset
+among them, ignores it.
 ``n`` is at most :data:`dcubed.bimodule.MAX_N` = 64, from a file or from
 ``-n``: a structure map holds n^3 entries, built before any work starts.  ``verify
 --max-word-len`` is at most ``MAX_WORD_LEN`` = 6: the sampled checks take

@@ -218,10 +218,6 @@ class AlgebraElement(_Sparse):
             raise ValueError("degree of the zero element is undefined")
         return max(len(w) for w in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        lengths = {len(w) for w in self.terms}
-        return len(lengths) <= 1
-
     def degree_parts(self) -> dict:
         """Split into word-length-homogeneous summands, keyed by length."""
         return self._split(len)

@@ -22,11 +22,14 @@ identically in the representation and would only contribute zero vectors.
 Membership is decided by exact linear algebra over Q(q): reduce the query
 against an incrementally built echelon basis of the span of the products
 left-monomial * generator * right-monomial of its grade.  A ``member``
-verdict carries a witness that re-expands to the query exactly.  When
-every nonzero map entry is homogeneous of word degree 0 or 1 the ideal is
-graded by (grade, word degree), and each bidegree is spanned exactly (see
-:meth:`Ideal._word_lengths`).  Other maps sweep every word degree up to
-``Bounds.word_bound``, so ``not_member_at_bound`` holds relative to it.
+verdict carries a witness that re-expands to the query exactly.  Which
+products span a system depends on the map alone, so :class:`Ideal` plans
+it once (see ``Ideal.__init__``).  When every term of every map entry has
+word degree 0, or every one has degree 1, the ideal is graded by (grade,
+word degree), and each bidegree is spanned exactly (see
+:meth:`Ideal._word_lengths`).  Other maps take the bounded path: they
+sweep every word degree up to ``Bounds.word_bound``, so there
+``not_member_at_bound`` holds relative to it.
 
 The residual of a verdict is the normal form of the query: what is left
 after reducing every component against its echelon basis, which is the
@@ -59,8 +62,10 @@ FAMILIES = tuple(FAMILY_GRADES)
 class Bounds:
     """The oracle's limits.
 
-    ``word_bound`` caps the coefficient word degree of a system (None
-    derives it per query), and ``size_cap`` the columns of one system.
+    ``word_bound`` caps the coefficient word degree of a system on the
+    bounded path (None derives it per query: the query's word degree plus
+    the largest entry degree); maps on the graded path never read it.
+    ``size_cap`` caps the columns of one system.
     """
     word_bound: int | None = None
     size_cap: int = 200_000
@@ -249,7 +254,11 @@ def _words_of_length(n: int, length: int):
 
 
 class Ideal:
-    """Ideal context: generator cache and membership oracle."""
+    """Ideal context: generator cache and membership oracle.
+
+    Every system is keyed by (grade, top).  On the graded path ``top`` is
+    the word degree of a bidegree, on the bounded path the word bound.
+    """
 
     def __init__(self, calc: Calculus, bounds: Bounds | None = None):
         self.calc = calc
@@ -258,9 +267,19 @@ class Ideal:
         self._generators = {}  # (i, j) -> generators_for(i, j)
         self._nonzero = None
         self._leads = None
-        self._systems = {}
-        self._uniform_degree = calc.bmap.uniform_entry_degree()
-        self._exact = self._uniform_degree in (0, 1)
+        self._systems = {}  # (grade, top) -> (echelon, columns)
+        # The oracle's plan, from one walk over the map.  Degrees {1}: every
+        # coefficient push preserves word degree, so the tensor algebra is
+        # bigraded by (grade, word degree).  Degrees {0}: every entry is a
+        # scalar, and the ideal is the span of all dwords of at least two
+        # letters, graded too.  Either way each bidegree is spanned exactly.
+        # Any other set, the empty one of a zero map included, takes the
+        # bounded sweep, whose per-query word bound adds ``_slack``.
+        degrees = calc.bmap.entry_degrees()
+        self._graded = degrees in ({0}, {1})
+        self._right_only = degrees == {0} or (
+            degrees == {1} and calc.bmap.is_scalar_diagonal())
+        self._slack = max(degrees, default=0)
 
     # -- generators ----------------------------------------------------------
 
@@ -295,35 +314,32 @@ class Ideal:
             raise ValueError(f"element has {e.n} generators, ideal has {self.n}")
         if e.is_zero:
             return Verdict("member", witness=[])
-        word_bound = self.bounds.word_bound
-        if word_bound is None:
-            word_bound = e.max_word_degree() + self.calc.bmap.max_entry_degree()
 
         direct = self._scalar_multiple_of_generator(e)
         if direct is not None:
             return Verdict("member", witness=[direct])
 
-        components = (e.bidegree_components() if self._exact else
-                      {(g, None): part for g, part in e.grade_components().items()})
+        if self._graded:
+            components = e.bidegree_components()
+        else:
+            top = self.bounds.word_bound
+            if top is None:
+                top = e.max_word_degree() + self._slack
+            components = {(g, top): part for g, part in e.grade_components().items()}
 
         witness = []
         residual = TensorElement.zero(self.n)
         status = "member"
         details = []
-        for (grade, wdeg) in sorted(components):
-            part = components[(grade, wdeg)]
+        for (grade, top) in sorted(components):
+            part = components[(grade, top)]
             if grade == 0:
                 # grade-0 component of the ideal is zero: nothing to span it
                 status = "not_member_at_bound"
                 residual = residual + part
                 details.append("grade-0 component cannot lie in the ideal")
                 continue
-            if wdeg is not None and wdeg > word_bound:
-                status = "not_member_at_bound"
-                residual = residual + part
-                details.append(f"word degree {wdeg} above bound {word_bound}")
-                continue
-            system = self._system(grade, wdeg, word_bound)
+            system = self._system(grade, top)
             if system is None:
                 return Verdict("bound_exceeded", detail=(
                     f"spanning set for grade {grade} exceeds the size cap "
@@ -363,8 +379,8 @@ class Ideal:
                                    (), (), factor)
         return None
 
-    def _system(self, grade, wdeg, word_bound):
-        """Echelon basis of the bounded span at the given (bi)degree.
+    def _system(self, grade, top):
+        """Echelon basis of the span of the columns keyed (grade, top).
 
         Every candidate goes to :meth:`_Echelon.insert`, which rejects a
         zero or dependent column, so ``columns`` holds exactly the
@@ -375,17 +391,17 @@ class Ideal:
         for the whole system would keep every generator's products alive
         until the build ends, for no further reuse.
         """
-        key = (grade, wdeg, None if wdeg is not None else word_bound)
+        key = (grade, top)
         cached = self._systems.get(key)
         if cached is not None:
             return cached
-        if self._count_columns(grade, wdeg, word_bound) > self.bounds.size_cap:
+        if self._count_columns(grade, top) > self.bounds.size_cap:
             return None
 
         echelon = _Echelon()
         columns = []  # column id -> unit-coefficient WitnessTerm
         gen_rights, gen_id = {}, None  # (right letters, right word) -> gen * R
-        for term in self._candidates(grade, wdeg, word_bound):
+        for term in self._candidates(grade, top):
             if (term.family, term.i, term.j, term.k) != gen_id:
                 gen_rights, gen_id = {}, (term.family, term.i, term.j, term.k)
             right = (term.right_dword, term.right_word)
@@ -406,20 +422,20 @@ class Ideal:
                 for left_d, right_d in itertools.product(
                     _dwords_of_grade(n, g1), _dwords_of_grade(n, grade - gen.grade - g1))]
 
-    def _word_lengths(self, wdeg, word_bound):
+    def _word_lengths(self, top):
         """Lazy (left, right) word lengths of the columns of a system.
 
-        Bounded (wdeg None): every split of every total up to word_bound.
-        Degree 1: every split of wdeg; a left word can add rank there,
-        unless the map is scalar-diagonal (below).
-        Degree 0: only (0, wdeg).  Scalar entries have zero derivatives, so
+        Bounded path: every split of every total up to the word bound top.
+        Degree 1: every split of the word degree top; a left word can add
+        rank there, unless the map is scalar-diagonal (below).
+        Degree 0: only (0, top).  Scalar entries have zero derivatives, so
         every generator is a bare two-letter dword (entry_d3 vanishes) and
         a left word crosses letters as scalars.  I_q is then the span of
         all dwords of at least two letters, and the columns with an empty
         left word span each of its bidegrees.
 
         Degree 1 with a scalar-diagonal map (every m(x^i) is p_i times the
-        identity): only (0, wdeg) too.  Let phi be the endomorphism
+        identity): only (0, top) too.  Let phi be the endomorphism
         x^i -> p_i; then m(u) = phi(u) I, so u * d^a x^j = d^a x^j * phi(u).
         Entries of degree 1 have scalar derivatives, so every generator is
         a two-letter dword with scalar coefficients, and a left word w
@@ -433,29 +449,28 @@ class Ideal:
         left words: a scalar-diagonal map of degree 2 has generators with
         polynomial coefficients, which a left word does not cross whole.
         """
-        if wdeg is not None and (self._uniform_degree == 0
-                                 or self.calc.bmap.is_scalar_diagonal()):
-            return ((0, wdeg),)
-        totals = (wdeg,) if wdeg is not None else range(word_bound + 1)
+        if self._right_only:
+            return ((0, top),)
+        totals = (top,) if self._graded else range(top + 1)
         return ((l1, total - l1) for total in totals for l1 in range(total + 1))
 
-    def _candidates(self, grade, wdeg, word_bound):
+    def _candidates(self, grade, top):
         """The system's unit-coefficient terms left * generator * right."""
         for gen, left_d, right_d in self._shapes(grade):
-            for l1, l2 in self._word_lengths(wdeg, word_bound):
+            for l1, l2 in self._word_lengths(top):
                 for w1, w2 in itertools.product(_words_of_length(self.n, l1),
                                                 _words_of_length(self.n, l2)):
                     yield WitnessTerm(left_d, w1, gen.family, gen.i, gen.j, gen.k,
                                       right_d, w2, ONE)
 
-    def _count_columns(self, grade, wdeg, word_bound):
+    def _count_columns(self, grade, top):
         """Length of :meth:`_candidates`, for the size cap.
 
         Without shapes the count is 0 whatever the word bound, and word
         counts stop being added once the total passes the cap.
         """
         shapes, total = len(self._shapes(grade)), 0
-        for l1, l2 in self._word_lengths(wdeg, word_bound) if shapes else ():
+        for l1, l2 in self._word_lengths(top) if shapes else ():
             total += shapes * self.n ** (l1 + l2)
             if total > self.bounds.size_cap:
                 break

@@ -124,14 +124,14 @@ def test_shape_validation():
 
 
 def test_entry_degree_inspection():
-    assert preset_map("commutative", 2).uniform_entry_degree() == 1
-    assert preset_map("scalar-twist", 2).uniform_entry_degree() == 1
-    assert preset_map("constant", 2).uniform_entry_degree() == 0
-    assert preset_map("commutative", 2).max_entry_degree() == 1
-    assert preset_map("constant", 2).max_entry_degree() == 0
+    assert preset_map("commutative", 2).entry_degrees() == {1}
+    assert preset_map("scalar-twist", 2).entry_degrees() == {1}
+    assert preset_map("constant", 2).entry_degrees() == {0}
     mixed = preset_map("commutative", 2).gen
     mixed[0][0][0] = x(2, 1, 1)  # degree-2 entry alongside degree-1 entries
-    assert BimoduleMap(2, mixed).uniform_entry_degree() is None
+    assert BimoduleMap(2, mixed).entry_degrees() == {1, 2}
+    zero = [[[AlgebraElement.zero(2)] * 2] * 2] * 2
+    assert BimoduleMap(2, zero).entry_degrees() == set()
     # m(x^i) = p_i times the identity on every preset; m(x1) = diag(x1 x1, x1)
     # in mixed, and twisted has off-diagonal entries
     assert all(preset_map(name, 2).is_scalar_diagonal() for name in PRESET_NAMES)

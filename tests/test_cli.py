@@ -14,7 +14,7 @@ from dcubed.cli import main
 from dcubed.freealg import MAX_TERMS
 from dcubed.parsing import format_algebra
 
-from conftest import NON_DIAGONAL_MAPS
+from conftest import NON_DIAGONAL_MAPS, PRESET_NAMES
 
 
 def run(capsys, *argv):
@@ -42,6 +42,27 @@ def test_diff_third_order_of_word(capsys):
                        "--preset", "commutative")
     assert code == 0
     assert out.strip().splitlines()[-1] == "member of I_q"
+
+
+@pytest.mark.parametrize("k, expr, flags, expected", [
+    ("3", "x1 x2", (), 0),
+    ("1", "x1", (), 1),
+    ("3", "x1 x2", ("--size-cap", "1"), 3),
+])
+def test_diff_mod_ideal_json_is_one_document(capsys, k, expr, flags, expected):
+    # the result as diff prints it, and the verdict as member prints it
+    code, out, _ = run(capsys, "diff", "-k", k, expr, "--mod-ideal", *flags,
+                       "--format", "json")
+    assert code == expected
+    doc = json.loads(out)
+    assert sorted(doc) == ["membership", "result"]
+    _, result, _ = run(capsys, "diff", "-k", k, expr, "--format", "json")
+    assert doc["result"] == json.loads(result)
+    _, text, _ = run(capsys, "diff", "-k", k, expr)
+    member_code, member, _ = run(capsys, "member", text.strip(), *flags,
+                                 "--format", "json")
+    assert member_code == expected
+    assert doc["membership"] == json.loads(member)
 
 
 def test_diff_latex_format(capsys):
@@ -224,7 +245,7 @@ REDUCE = ("reduce", "dx1 dx2 dx1 dx2")
 
 @pytest.mark.parametrize("argv, bounds, expected", [
     (MEMBER, {"word_bound": None, "size_cap": None}, 0),
-    (MEMBER, {"word_bound": 0}, 1),
+    (MEMBER, {"word_bound": 0}, 0),  # a graded map never reads the word bound
     (MEMBER, {"size_cap": 1}, 3),
     (REDUCE, {"word_bound": 0}, 0),
     (REDUCE, {"size_cap": 1}, 3),
@@ -235,6 +256,25 @@ def test_config_bounds_reach_the_oracle(capsys, tmp_path, argv, bounds, expected
     path.write_text(json.dumps({"preset": "commutative", "bounds": bounds}))
     code, _, _ = run(capsys, *argv, "--config", str(path))
     assert code == expected
+
+
+@pytest.mark.parametrize("word_bound, expected", [(1, 0), (0, 1)])
+def test_config_word_bound_reaches_the_bounded_path(capsys, tmp_path, word_bound,
+                                                    expected):
+    # dx_dx(1,1) times x2: its one column has a right word of length 1
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps({**QUADRATIC, "bounds": {"word_bound": word_bound}}))
+    code, _, _ = run(capsys, "member", "dx1 dx1 x2 - q dx1 dx1 (x1 x2 + x1 x1 x2)",
+                     "--config", str(path))
+    assert code == expected
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_word_bound_leaves_graded_verify_unchanged(capsys, preset):
+    argv = ("verify", "--preset", preset, "-n", "2", "--format", "json")
+    code, plain, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--word-bound", "0") == (code, plain, "")
+    assert code == 0
 
 
 def test_scalar_twist_flag(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from dcubed.scalar import ONE, Q, q_power
 from dcubed.freealg import AlgebraElement
-from dcubed.bimodule import preset_map
+from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, tensor_mul
@@ -141,7 +141,7 @@ def test_word_multiple_stays_in_ideal(preset_ideal):
 
 
 def test_third_iterate_of_word_is_member():
-    ideal = Ideal(Calculus(preset_map("commutative", 2)), Bounds(word_bound=2))
+    ideal = Ideal(Calculus(preset_map("commutative", 2)))
     e = d_power(ideal.calc, TensorElement.of_algebra(x(2, 1, 2)), 3)
     verdict = ideal.membership(e)
     assert verdict.is_member
@@ -207,7 +207,8 @@ def test_size_cap_boundary(name, columns):
 
 
 def test_membership_word_bound_limits():
-    calc = Calculus(preset_map("commutative", 2))
+    # only the bounded path reads the word bound
+    calc = Calculus(quadratic_map())
     gen = Ideal(calc).generator_element("dx_dx", 1, 1)
     deep = tensor_mul(calc.bmap, TensorElement.of_algebra(x(2, 1, 2)), gen)
     assert Ideal(calc, Bounds(word_bound=0)).membership(deep).status \
@@ -248,7 +249,14 @@ def test_three_generators():
 
 def test_nonlinear_map_uses_bounded_path():
     ideal = Ideal(Calculus(quadratic_map()))
-    assert ideal.calc.bmap.uniform_entry_degree() == 2
+    assert ideal.calc.bmap.entry_degrees() == {2}
+    assert not ideal._graded and not ideal._right_only
+    # entries of mixed degree, and none at all, take the bounded path too
+    mixed = preset_map("commutative", 2).gen
+    mixed[0][0][0] = x(2, 1, 1)
+    zero = [[[AlgebraElement.zero(2)] * 2] * 2] * 2
+    for gen in (mixed, zero):
+        assert not Ideal(Calculus(BimoduleMap(2, gen)))._graded
     gen = ideal.generator_element("dx_dx", 1, 2)
     image = d(ideal.calc, gen)
     verdict = ideal.membership(image)
@@ -272,7 +280,8 @@ def test_nonlinear_map_congruence_for_words():
     ("constant", 2, 3, 1, None),
 ])
 def test_column_products_match_tensor_mul(name, n, grade, wdeg, word_bound):
-    # every column L * g * R, against two plain products built from its fields
+    # every column L * g * R, against two plain products built from its fields;
+    # a graded map keys its system by word degree, a bounded one by word bound
     if name == "degree-one":
         bmap = build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))
     elif name == "quadratic":
@@ -280,7 +289,8 @@ def test_column_products_match_tensor_mul(name, n, grade, wdeg, word_bound):
     else:
         bmap = preset_map(name, n)
     ideal = Ideal(Calculus(bmap))
-    terms = list(ideal._candidates(grade, wdeg, word_bound))
+    assert ideal._graded == (wdeg is not None)
+    terms = list(ideal._candidates(grade, wdeg if ideal._graded else word_bound))
     assert terms
     for term in terms:
         left = TensorElement.monomial(n, term.left_dword,

@@ -7,9 +7,12 @@ and computes their rank independently over ``QQ<sqrt(-3)>`` with
 column, per independent column it enumerates, so its row and column
 counts must both equal that rank.
 
-A bounded system (wdeg None) spans every product of total word length up
-to its word bound.  An exact system spans the bidegree (grade, wdeg) of a
-graded ideal: the reference takes the products of total word length up to
+Systems are keyed (grade, top).  A case names the map's path: wdeg for a
+graded map, whose top is a word degree, or word_bound for a map on the
+bounded path, whose top is a word bound.  A bounded system spans every
+product of total word length up to its word bound; the quadratic map is
+the one taking that path here.  An exact system spans the bidegree
+(grade, wdeg) of a graded ideal: the reference takes the products of total word length up to
 wdeg + 1, checks that each is homogeneous, and keeps those of word degree
 wdeg.  That includes products with a nonempty left word.  The oracle
 leaves them out on a degree-0 map and on a scalar-diagonal one (every
@@ -33,7 +36,7 @@ from dcubed.freealg import AlgebraElement
 from dcubed.ideal import Ideal, _vectorize
 from dcubed.tensoralg import TensorElement, tensor_mul
 
-from conftest import DEGREE_ONE
+from conftest import DEGREE_ONE, quadratic_map
 
 # building the field takes about half a second: once per module
 FIELD = sympy.QQ.algebraic_field(sympy.sqrt(-3))
@@ -43,7 +46,7 @@ BIGRADED_SHAPES = ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0))
 CASES = [(name, grade, wdeg, None)
          for name in ("commutative", "scalar-twist")
          for grade, wdeg in BIGRADED_SHAPES]
-CASES += [("constant", grade, None, 1) for grade in (2, 3)]
+CASES += [("quadratic", 2, None, 2), ("quadratic", 3, None, 1)]
 CASES += [("constant", grade, 1, None) for grade in (2, 3)]
 CASES += [("degree-one", 3, 1, None)]
 CASES += [("scalar-diagonal", grade, wdeg, None) for grade, wdeg in ((2, 1), (3, 1), (4, 0))]
@@ -56,6 +59,8 @@ def structure_map(name):
         return build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))
     if name == "scalar-diagonal":
         return build_map(SessionConfig(n=2, xi_entries=SCALAR_DIAGONAL))
+    if name == "quadratic":
+        return quadratic_map()
     return preset_map(name, 2)
 
 
@@ -108,20 +113,22 @@ def bidegree_part(products, grade, wdeg):
 @pytest.mark.parametrize("name, grade, wdeg, word_bound", CASES)
 def test_system_rank_matches_sympy(name, grade, wdeg, word_bound):
     ideal = Ideal(Calculus(structure_map(name)))
-    echelon, columns = ideal._system(grade, wdeg, word_bound)
+    assert ideal._graded == (wdeg is not None)
     if wdeg is None:
+        echelon, columns = ideal._system(grade, word_bound)
         reference = products(ideal, grade, range(word_bound + 1))
     else:
+        echelon, columns = ideal._system(grade, wdeg)
         reference = bidegree_part(products(ideal, grade, range(wdeg + 2)), grade, wdeg)
     assert len(columns) == len(echelon.rows) == rank(reference)
 
 
 def test_left_words_add_rank_on_a_degree_one_map():
     ideal = Ideal(Calculus(structure_map("degree-one")))
-    assert ideal.calc.bmap.uniform_entry_degree() == 1
+    assert ideal.calc.bmap.entry_degrees() == {1}
     every = list(products(ideal, 3, (1,)))
     right_only = list(products(ideal, 3, (1,), left_words=False))
     assert (len(every), len(right_only)) == (96, 48)
     assert (rank(every), rank(right_only)) == (27, 26)
-    echelon, _ = ideal._system(3, 1, None)
+    echelon, _ = ideal._system(3, 1)
     assert len(echelon.rows) == 27
