@@ -21,12 +21,17 @@ identically in the representation and would only contribute zero vectors.
 
 Membership is decided by exact linear algebra over Q(q): reduce the query
 against an incrementally built echelon basis of the span of the products
-left-monomial * generator * right-monomial of its grade.  A ``member``
-verdict carries a witness that re-expands to the query exactly.  Which
-products span a system depends on the map alone, so :class:`Ideal` plans
-it once (see ``Ideal.__init__``).  When every term of every map entry has
-word degree 0, or every one has degree 1, the ideal is graded by (grade,
-word degree), and each bidegree is spanned exactly (see
+left-monomial * generator * right-monomial of its grade.  Vectors are keyed
+by the term order itself, so a pivot is a plain ``max``.  The basis keeps
+no combination of products per row, only how each accepted product
+reduced when it was inserted; a ``member`` verdict's witness is recovered
+from those records by back-substitution (see :class:`_Echelon`), and it
+re-expands to the query exactly.
+
+Which products span a system depends on the map alone, so :class:`Ideal`
+plans it once (see ``Ideal.__init__``).  When every term of every map
+entry has word degree 0, or every one has degree 1, the ideal is graded by
+(grade, word degree), and each bidegree is spanned exactly (see
 :meth:`Ideal._word_lengths`).  Other maps take the bounded path: they
 sweep every word degree up to ``Bounds.word_bound``, so there
 ``not_member_at_bound`` holds relative to it.
@@ -43,6 +48,7 @@ bound.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, replace
 
@@ -166,21 +172,35 @@ class Verdict:
         return self.status == "member"
 
 
-def _term_order(key):
-    dword, word = key
-    return (dword_key(dword), word_key(word))
+def _vectorize(e: TensorElement, keys):
+    """e as a sparse vector over its terms, keyed in term order.
 
-
-def _vectorize(e: TensorElement):
-    return {(dword, word): coeff
-            for dword, u in e.terms.items()
-            for word, coeff in u.terms.items()}
+    A term (dword, word) is keyed (dword_key(dword), word_key(word)), so
+    comparing keys is comparing terms and the largest key is the leading
+    term.  ``keys`` interns the keys, dword -> (its dword_key, {word: key}):
+    each key is built once, and every vector shares it and its dword_key.
+    """
+    vec = {}
+    for dword, u in e.terms.items():
+        interned = keys.get(dword)
+        if interned is None:
+            interned = keys[dword] = (dword_key(dword), {})
+        dkey, by_word = interned
+        for word, coeff in u.terms.items():
+            key = by_word.get(word)
+            if key is None:
+                key = by_word[word] = (dkey, word_key(word))
+            vec[key] = coeff
+    return vec
 
 
 def _devectorize(vec, n) -> TensorElement:
+    """Inverse of :func:`_vectorize`: a dword_key holds the letters' grades
+    and indices, a word_key the word."""
     out = TensorElement(n)
-    for (dword, word), coeff in vec.items():
-        out._accumulate(dword, AlgebraElement.monomial(n, word, coeff))
+    for ((_, grades, indices), (_, word)), coeff in vec.items():
+        out._accumulate(tuple(zip(grades, indices)),
+                        AlgebraElement.monomial(n, word, coeff))
     return out
 
 
@@ -194,46 +214,80 @@ def _sub_scaled(target, source, factor):
 
 
 class _Echelon:
-    """Row basis with combination tracking over original column ids.
+    """Row basis of the span of the inserted columns, with witnesses.
 
     Every stored row is normalized so its pivot (the largest key it touches)
     has coefficient one, and all its other keys are strictly smaller, so
-    elimination in descending key order terminates.
+    elimination in descending key order terminates.  A row holds no
+    combination of columns.  Beside it, ``records`` keeps how its column
+    reduced when it was inserted: the column is ``lead * row`` plus the
+    ``factor`` multiple of each earlier row it met.  Only the independent
+    columns make rows, so a vector in the span is one combination of them,
+    and :meth:`express` recovers it by back-substitution over the records.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "records")
 
     def __init__(self):
-        self.rows = {}  # pivot key -> (normalized vector, combination)
+        self.rows = {}  # pivot key -> normalized vector
+        self.records = {}  # pivot key -> (column id, 1 / lead, {earlier pivot: factor})
 
-    def _reduce(self, vec, combo):
-        """Full normal form: keys without a pivot survive into the remainder."""
+    def _reduce(self, vec):
+        """Full normal form: keys without a pivot survive into the remainder.
+
+        Also returns the factor of every row subtracted, by pivot; each
+        pivot is met at most once, since a row only touches smaller keys.
+        """
+        rows, factors = self.rows, {}
         while True:
-            target = max((key for key in vec if key in self.rows),
-                         key=_term_order, default=None)
+            target = max(filter(rows.__contains__, vec), default=None)
             if target is None:
-                return vec, combo
-            row_vec, row_combo = self.rows[target]
-            factor = vec[target]
-            _sub_scaled(vec, row_vec, factor)
-            _sub_scaled(combo, row_combo, factor)
+                return vec, factors
+            factor = factors[target] = vec[target]
+            _sub_scaled(vec, rows[target], factor)
 
     def insert(self, vec, col_id) -> bool:
-        vec, combo = self._reduce(dict(vec), {col_id: ONE})
+        vec, factors = self._reduce(dict(vec))
         if not vec:
             return False
-        lead = max(vec, key=_term_order)
+        lead = max(vec)
         inv = vec[lead].inv()
-        self.rows[lead] = ({k: v * inv for k, v in vec.items()},
-                           {k: v * inv for k, v in combo.items()})
+        self.rows[lead] = {k: v * inv for k, v in vec.items()}
+        self.records[lead] = (col_id, inv, factors)
         return True
 
     def express(self, vec):
-        """Combination of original columns equal to vec, or the remainder."""
-        vec, combo = self._reduce(dict(vec), {})
+        """Combination of original columns equal to vec, or the remainder.
+
+        Reducing vec leaves ``pending``: its coefficient on each row.  The
+        row with the latest column is that column over its lead, less the
+        earlier rows its record names, so its column takes the coefficient
+        ``a = pending / lead``, and each earlier row the record names takes
+        ``-a * factor`` more.  A heap visits the rows reached, latest
+        column first, so every row is settled once.
+        """
+        vec, pending = self._reduce(dict(vec))
         if vec:
             return None, vec
-        return {col: -c for col, c in combo.items() if c}, None
+        records = self.records
+        heap = [(-records[pivot][0], pivot) for pivot in pending]
+        heapq.heapify(heap)
+        combo = {}
+        while heap:
+            pivot = heapq.heappop(heap)[1]
+            coeff = pending.pop(pivot)
+            if not coeff:
+                continue
+            col_id, inv, factors = records[pivot]
+            coeff = combo[col_id] = coeff * inv
+            for earlier, factor in factors.items():
+                cur = pending.get(earlier)
+                if cur is None:
+                    pending[earlier] = -(coeff * factor)
+                    heapq.heappush(heap, (-records[earlier][0], earlier))
+                else:
+                    pending[earlier] = cur - coeff * factor
+        return combo, None
 
 
 def _dwords_of_grade(n: int, grade: int):
@@ -268,6 +322,7 @@ class Ideal:
         self._nonzero = None
         self._leads = None
         self._systems = {}  # (grade, top) -> (echelon, columns)
+        self._keys = {}  # interned vector keys, see _vectorize
         # The oracle's plan, from one walk over the map.  Degrees {1}: every
         # coefficient push preserves word degree, so the tensor algebra is
         # bigraded by (grade, word degree).  Degrees {0}: every entry is a
@@ -345,7 +400,7 @@ class Ideal:
                     f"spanning set for grade {grade} exceeds the size cap "
                     f"{self.bounds.size_cap}"))
             echelon, columns = system
-            combo, rest = echelon.express(_vectorize(part))
+            combo, rest = echelon.express(_vectorize(part, self._keys))
             if combo is None:
                 status = "not_member_at_bound"
                 residual = residual + _devectorize(rest, self.n)
@@ -367,11 +422,11 @@ class Ideal:
         if self._leads is None:
             self._leads = {}  # lead key -> [(generator, 1 / lead coefficient)]
             for gen in self.all_generators():
-                gvec = _vectorize(gen.element)
-                glead = max(gvec, key=_term_order)
+                gvec = _vectorize(gen.element, self._keys)
+                glead = max(gvec)
                 self._leads.setdefault(glead, []).append((gen, gvec[glead].inv()))
-        vec = _vectorize(e)
-        lead = max(vec, key=_term_order)
+        vec = _vectorize(e, self._keys)
+        lead = max(vec)
         for gen, inv in self._leads.get(lead, ()):
             factor = vec[lead] * inv
             if gen.element.scale(factor) == e:
@@ -408,7 +463,8 @@ class Ideal:
             gen_right = gen_rights.get(right)
             if gen_right is None:
                 gen_right = gen_rights[right] = self._gen_right(term)
-            if echelon.insert(_vectorize(self._product(term, gen_right)), len(columns)):
+            if echelon.insert(_vectorize(self._product(term, gen_right), self._keys),
+                              len(columns)):
                 columns.append(term)
         self._systems[key] = (echelon, columns)
         return self._systems[key]

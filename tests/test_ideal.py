@@ -1,18 +1,21 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from dcubed.scalar import ONE, Q, q_power
+from dcubed.scalar import ONE, ZERO, Q, q_power
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d, d_power
-from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES
+from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, _Echelon
 
 from conftest import (
-    DEGREE_ONE, PRESET_NAMES, normal_form, quadratic_map, random_tensor, x,
+    DEGREE_ONE, PRESET_NAMES, SMALL_SCALARS, normal_form, quadratic_map,
+    random_tensor, x,
 )
 
 
@@ -264,13 +267,30 @@ def test_nonlinear_map_uses_bounded_path():
     assert ideal.expand_witness(verdict.witness) == image
 
 
-def test_nonlinear_map_congruence_for_words():
-    # the bounded path must still certify a non-trivial congruence
+@pytest.fixture(scope="module")
+def quadratic_d3():
+    """d^3(x1 x2) on the quadratic map, with its ideal and verdict."""
     ideal = Ideal(Calculus(quadratic_map()))
     e = d_power(ideal.calc, TensorElement.of_algebra(x(2, 1, 2)), 3)
-    verdict = ideal.membership(e)
+    return ideal, e, ideal.membership(e)
+
+
+def test_nonlinear_map_congruence_for_words(quadratic_d3):
+    # the bounded path must still certify a non-trivial congruence
+    ideal, e, verdict = quadratic_d3
     assert verdict.is_member
     assert ideal.expand_witness(verdict.witness) == e
+
+
+# sha256 of the JSON of the bounded witness of d^3(x1 x2), term by term
+QUADRATIC_WITNESS_SHA256 = \
+    "e4d93a40acc47ff8686f4b76a40d11dabcf51c843389ab594f1c19bf0fa19cee"
+
+
+def test_quadratic_witness_is_pinned(quadratic_d3):
+    _, _, verdict = quadratic_d3
+    witness = json.dumps([term.to_dict() for term in verdict.witness])
+    assert hashlib.sha256(witness.encode()).hexdigest() == QUADRATIC_WITNESS_SHA256
 
 
 @pytest.mark.parametrize("name, n, grade, wdeg, word_bound", [
@@ -299,3 +319,53 @@ def test_column_products_match_tensor_mul(name, n, grade, wdeg, word_bound):
                                        AlgebraElement.monomial(n, term.right_word))
         gen = ideal.generator_element(term.family, term.i, term.j, term.k)
         assert ideal._product(term) == tensor_mul(bmap, left, tensor_mul(bmap, gen, right))
+
+
+def combine(coeffs, vectors):
+    """sum of coeffs[i] * vectors[i], as a sparse vector without zeros."""
+    out = {}
+    for i, c in coeffs.items():
+        for key, value in vectors[i].items():
+            out[key] = out.get(key, ZERO) + c * value
+    return {key: value for key, value in out.items() if value}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_expresses_columns_by_back_substitution(seed):
+    # keys are plain ints here; rank 5 over 8 keys leaves non-pivot keys
+    rng = random.Random(seed)
+    keys = range(8)
+    basis = [{k: rng.choice(SMALL_SCALARS) for k in rng.sample(keys, 5)}
+             for _ in range(5)]
+    vectors = []
+    for _ in range(20):
+        kind = rng.random()
+        if kind < 0.1:
+            vectors.append({})
+        elif kind < 0.4 or not vectors:
+            vectors.append(rng.choice(basis))
+        else:  # dependent on earlier columns
+            picks = rng.sample(range(len(vectors)), min(3, len(vectors)))
+            vectors.append(combine({i: rng.choice(SMALL_SCALARS) for i in picks},
+                                   vectors))
+    echelon = _Echelon()
+    accepted = [i for i, vec in enumerate(vectors) if echelon.insert(vec, i)]
+    assert len(echelon.rows) == len(echelon.records) == len(accepted) <= 5
+    for i, vec in enumerate(vectors):
+        combo, rest = echelon.express(vec)
+        assert rest is None
+        if i in accepted:
+            assert combo == {i: ONE}
+        else:
+            assert all(col in accepted and col < i for col in combo)
+            assert all(combo.values())
+            assert combine(combo, vectors) == vec
+    for row in echelon.rows.values():  # reaches rows its own reduction skips
+        combo, _ = echelon.express(row)
+        assert combine(combo, vectors) == row
+    free = [k for k in keys if k not in echelon.rows]
+    assert free
+    # a member plus a term on a non-pivot key: the normal form is that term
+    member = combine({i: rng.choice(SMALL_SCALARS) for i in accepted}, vectors)
+    stray = {free[0]: rng.choice(SMALL_SCALARS)}
+    assert echelon.express(combine({0: ONE, 1: ONE}, [member, stray])) == (None, stray)

@@ -70,7 +70,8 @@ def image(s):
 
 
 def rank(products):
-    vectors = [_vectorize(product) for product in products if product]
+    keys = {}
+    vectors = [_vectorize(product, keys) for product in products if product]
     assert vectors
     keys = sorted({key for vec in vectors for key in vec})
     rows = [[image(vec[key]) if key in vec else FIELD.zero for key in keys]
