@@ -37,6 +37,7 @@ from .verify import OUTCOMES, SUITES, run_suite
 EXIT_OK = OUTCOMES["member"].exit_code
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = OUTCOMES["bound_exceeded"].exit_code
+LATEX_COMMANDS = ("diff", "reduce")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -55,7 +56,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common.add_argument("--twist", metavar="EXPR",
                         help="scalar for the scalar-twist preset (default q)")
     common.add_argument("--format", choices=FORMATS, dest="format",
-                        help="output format (default text)")
+                        help="output format (default text); only diff and "
+                             "reduce print latex")
     common.add_argument("--word-bound", type=int, metavar="N",
                         help="coefficient word-degree bound for the "
                              "membership oracle (>= 0); read only for maps "
@@ -119,6 +121,8 @@ def _session(args) -> SessionConfig:
         if value is not None:
             setattr(cfg.bounds, bound.name, value)
     cfg.validate()
+    if cfg.format == "latex" and args.command not in LATEX_COMMANDS:
+        raise ConfigError(f"{args.command} prints text or json, not latex")
     return cfg
 
 

@@ -117,14 +117,13 @@ def build_map(cfg: SessionConfig) -> BimoduleMap:
     """Instantiate the structure map from a validated configuration."""
     cfg.validate()
     n = cfg.n
+    # checked whatever the preset, though only scalar-twist reads it
+    try:
+        twist = parse_algebra(cfg.twist, n).constant_value()
+    except (ParseError, ValueError) as err:
+        raise ConfigError(f"bad twist scalar {cfg.twist!r}: {err}") from err
     if cfg.preset is not None:
-        if cfg.preset == "scalar-twist":
-            try:
-                twist = parse_algebra(cfg.twist, n).constant_value()
-            except (ParseError, ValueError) as err:
-                raise ConfigError(f"bad twist scalar {cfg.twist!r}: {err}") from err
-            return preset_map("scalar-twist", n, twist)
-        return preset_map(cfg.preset, n)
+        return preset_map(cfg.preset, n, twist)
 
     entries = cfg.xi_entries
     if (not isinstance(entries, list) or len(entries) != n

@@ -382,35 +382,28 @@ class Ideal:
                 top = e.max_word_degree() + self._slack
             components = {(g, top): part for g, part in e.grade_components().items()}
 
-        witness = []
-        residual = TensorElement.zero(self.n)
-        status = "member"
-        details = []
-        for (grade, top) in sorted(components):
-            part = components[(grade, top)]
-            if grade == 0:
-                # grade-0 component of the ideal is zero: nothing to span it
-                status = "not_member_at_bound"
-                residual = residual + part
-                details.append("grade-0 component cannot lie in the ideal")
-                continue
+        # One loop for every component: below grade 2 the system is empty,
+        # so the whole component is its remainder.
+        witness, rest, details = [], {}, []
+        for grade, top in sorted(components):
             system = self._system(grade, top)
             if system is None:
                 return Verdict("bound_exceeded", detail=(
                     f"spanning set for grade {grade} exceeds the size cap "
                     f"{self.bounds.size_cap}"))
             echelon, columns = system
-            combo, rest = echelon.express(_vectorize(part, self._keys))
+            combo, remainder = echelon.express(
+                _vectorize(components[(grade, top)], self._keys))
             if combo is None:
-                status = "not_member_at_bound"
-                residual = residual + _devectorize(rest, self.n)
+                rest.update(remainder)
                 details.append(f"irreducible remainder at grade {grade}")
             else:
                 witness.extend(replace(columns[col_id], coeff=coeff)
                                for col_id, coeff in sorted(combo.items()))
-        if status == "member":
-            return Verdict("member", witness=witness)
-        return Verdict(status, residual=residual, detail="; ".join(details))
+        if rest:
+            return Verdict("not_member_at_bound", residual=_devectorize(rest, self.n),
+                           detail="; ".join(details))
+        return Verdict("member", witness=witness)
 
     def _scalar_multiple_of_generator(self, e: TensorElement):
         """One-term witness when e is exactly c * (some generator).
@@ -437,46 +430,56 @@ class Ideal:
     def _system(self, grade, top):
         """Echelon basis of the span of the columns keyed (grade, top).
 
-        Every candidate goes to :meth:`_Echelon.insert`, which rejects a
-        zero or dependent column, so ``columns`` holds exactly the
-        independent columns, one per echelon row, in candidate order.
-        The candidates come generator-major, and every left factor of one
-        generator multiplies the same products generator * right: each is
-        built once and dropped when the generator changes.  Holding them
-        for the whole system would keep every generator's products alive
-        until the build ends, for no further reuse.
+        One generator-major walk: for each generator, each placement of
+        left and right letters around it, and each (left, right) word pair
+        of :meth:`_word_lengths`.  Every column goes to
+        :meth:`_Echelon.insert`, which rejects a zero or dependent one, so
+        ``columns`` holds exactly the independent columns, one per echelon
+        row, in walk order.  Every left factor of one generator multiplies
+        the same products generator * right: each is built once, in a dict
+        local to that generator's loop, and dropped when the walk moves on;
+        holding them for the whole system would keep them alive for no
+        further reuse.
+
+        A system of more than ``Bounds.size_cap`` columns is refused
+        (None).  Its count stops once it passes the cap, and it is 0
+        without placements, whatever the word bound.
         """
         key = (grade, top)
         cached = self._systems.get(key)
         if cached is not None:
             return cached
-        if self._count_columns(grade, top) > self.bounds.size_cap:
-            return None
+        n, bmap = self.n, self.calc.bmap
+        placements = [(gen, [(left_d, right_d)
+                             for g1 in range(grade - gen.grade + 1)
+                             for left_d in _dwords_of_grade(n, g1)
+                             for right_d in _dwords_of_grade(n, grade - gen.grade - g1)])
+                      for gen in self.all_generators()]
+        per_pair, count, words = sum(len(p) for _, p in placements), 0, []
+        for l1, l2 in self._word_lengths(top) if per_pair else ():
+            count += per_pair * n ** (l1 + l2)  # per_pair columns per word pair
+            if count > self.bounds.size_cap:
+                return None
+            words += itertools.product(_words_of_length(n, l1), _words_of_length(n, l2))
 
         echelon = _Echelon()
         columns = []  # column id -> unit-coefficient WitnessTerm
-        gen_rights, gen_id = {}, None  # (right letters, right word) -> gen * R
-        for term in self._candidates(grade, top):
-            if (term.family, term.i, term.j, term.k) != gen_id:
-                gen_rights, gen_id = {}, (term.family, term.i, term.j, term.k)
-            right = (term.right_dword, term.right_word)
-            gen_right = gen_rights.get(right)
-            if gen_right is None:
-                gen_right = gen_rights[right] = self._gen_right(term)
-            if echelon.insert(_vectorize(self._product(term, gen_right), self._keys),
-                              len(columns)):
-                columns.append(term)
+        for gen, gen_placements in placements:
+            gen_rights = {}  # (right letters, right word) -> gen * right
+            for left_d, right_d in gen_placements:
+                for left_w, right_w in words:
+                    gen_right = gen_rights.get((right_d, right_w))
+                    if gen_right is None:
+                        right = TensorElement.monomial(
+                            n, right_d, AlgebraElement.monomial(n, right_w))
+                        gen_right = gen_rights[(right_d, right_w)] = tensor_mul(
+                            bmap, gen.element, right)
+                    product = self._left_times(left_d, left_w, gen_right)
+                    if echelon.insert(_vectorize(product, self._keys), len(columns)):
+                        columns.append(WitnessTerm(left_d, left_w, gen.family, gen.i,
+                                                   gen.j, gen.k, right_d, right_w, ONE))
         self._systems[key] = (echelon, columns)
         return self._systems[key]
-
-    def _shapes(self, grade):
-        """The (generator, left letters, right letters) of each column of a grade."""
-        n = self.n
-        return [(gen, left_d, right_d)
-                for gen in self.all_generators()
-                for g1 in range(grade - gen.grade + 1)
-                for left_d, right_d in itertools.product(
-                    _dwords_of_grade(n, g1), _dwords_of_grade(n, grade - gen.grade - g1))]
 
     def _word_lengths(self, top):
         """Lazy (left, right) word lengths of the columns of a system.
@@ -499,63 +502,41 @@ class Ideal:
 
             L_d w g R_d v  =  L_d g R_d phi^k(w) v,      k = 2 + |R_d|.
 
-        That is a combination of columns of the same shape with an empty
-        left word, which :meth:`_candidates` yields first, so no column
-        with a left word is ever independent.  The bounded path keeps its
-        left words: a scalar-diagonal map of degree 2 has generators with
-        polynomial coefficients, which a left word does not cross whole.
+        That is a combination of columns of the same placement with an
+        empty left word, which the walk of :meth:`_system` reaches first,
+        so no column with a left word is ever independent.  The bounded
+        path keeps its left words: a scalar-diagonal map of degree 2 has
+        generators with polynomial coefficients, which a left word does not
+        cross whole.
         """
         if self._right_only:
             return ((0, top),)
         totals = (top,) if self._graded else range(top + 1)
         return ((l1, total - l1) for total in totals for l1 in range(total + 1))
 
-    def _candidates(self, grade, top):
-        """The system's unit-coefficient terms left * generator * right."""
-        for gen, left_d, right_d in self._shapes(grade):
-            for l1, l2 in self._word_lengths(top):
-                for w1, w2 in itertools.product(_words_of_length(self.n, l1),
-                                                _words_of_length(self.n, l2)):
-                    yield WitnessTerm(left_d, w1, gen.family, gen.i, gen.j, gen.k,
-                                      right_d, w2, ONE)
+    def _left_times(self, left_dword, left_word, e) -> TensorElement:
+        """left * e, the left factor a monomial.
 
-    def _count_columns(self, grade, top):
-        """Length of :meth:`_candidates`, for the size cap.
-
-        Without shapes the count is 0 whatever the word bound, and word
-        counts stop being added once the total passes the cap.
+        Only the left word is pushed through e; the left letters carry the
+        coefficient 1, which crosses no letter, so they are prepended to
+        every tensor word as they stand.
         """
-        shapes, total = len(self._shapes(grade)), 0
-        for l1, l2 in self._word_lengths(top) if shapes else ():
-            total += shapes * self.n ** (l1 + l2)
-            if total > self.bounds.size_cap:
-                break
-        return total
-
-    def _gen_right(self, term) -> TensorElement:
-        """generator * right of a witness term."""
         n = self.n
-        right = TensorElement.monomial(
-            n, term.right_dword, AlgebraElement.monomial(n, term.right_word))
+        if left_word:
+            left = TensorElement.of_algebra(AlgebraElement.monomial(n, left_word))
+            e = tensor_mul(self.calc.bmap, left, e)
+        if left_dword:
+            e = TensorElement._new(n, {left_dword + w: c for w, c in e.terms.items()})
+        return e
+
+    def _product(self, term) -> TensorElement:
+        """left * generator * right of a witness term, without its coefficient."""
+        n = self.n
+        right = TensorElement.monomial(n, term.right_dword,
+                                       AlgebraElement.monomial(n, term.right_word))
         gen = self.generator_element(term.family, term.i, term.j, term.k)
-        return tensor_mul(self.calc.bmap, gen, right)
-
-    def _product(self, term, gen_right=None) -> TensorElement:
-        """left * generator * right of a witness term, without its coefficient.
-
-        ``gen_right`` is :meth:`_gen_right` of the term, when the caller
-        has it.  Only the left word is pushed through it; the left letters
-        carry the coefficient 1, which crosses no letter, so they are
-        prepended to every tensor word as they stand.
-        """
-        n = self.n
-        out = self._gen_right(term) if gen_right is None else gen_right
-        if term.left_word:
-            left = TensorElement.of_algebra(AlgebraElement.monomial(n, term.left_word))
-            out = tensor_mul(self.calc.bmap, left, out)
-        if term.left_dword:
-            out = TensorElement._new(n, {term.left_dword + w: c for w, c in out.terms.items()})
-        return out
+        return self._left_times(term.left_dword, term.left_word,
+                                tensor_mul(self.calc.bmap, gen, right))
 
     def expand_witness(self, witness) -> TensorElement:
         """Re-expand a membership witness; must reproduce the query exactly."""

@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive)::
 
-    expr    := ['-'] term (('+' | '-') term)*
+    expr    := term (('+' | '-') term)*
     term    := factor ( ('*' | '(*)' | '⊗')? factor )*      # juxtaposition multiplies
     factor  := '-' factor | scalar | generator | letter
              | 'd' '(' expr ')' | '(' expr ')'
@@ -134,14 +134,7 @@ class _Parser:
         return value
 
     def expr(self) -> TensorElement:
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value == "-":
-            self.advance()
-            negate = True
-        out = self.term()
-        if negate:
-            out = -out
+        out = self.term()  # a leading '-' is the factor's prefix '-'
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
@@ -155,7 +148,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind in ("qint", "number", "name"):
             return True
-        return kind == "op" and value in ("(", "-")
+        return kind == "op" and value == "("
 
     def term(self) -> TensorElement:
         out = self.factor()
@@ -164,7 +157,7 @@ class _Parser:
             if kind == "tensor" or (kind == "op" and value == "*"):
                 self.advance()
                 out = self._mul(out, self.factor())
-            elif self._starts_factor() and not (self.peek()[1] == "-"):
+            elif self._starts_factor():
                 # juxtaposition; a '-' always binds as subtraction instead
                 out = self._mul(out, self.factor())
             else:

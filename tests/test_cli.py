@@ -14,7 +14,7 @@ from dcubed.cli import main
 from dcubed.freealg import MAX_TERMS
 from dcubed.parsing import format_algebra
 
-from conftest import NON_DIAGONAL_MAPS, PRESET_NAMES
+from conftest import NON_DIAGONAL_MAPS, PRESET_NAMES, quadratic_map
 
 
 def run(capsys, *argv):
@@ -329,6 +329,7 @@ def test_bad_flags_exit_code(capsys, flags):
     ("diff", "x1 + 1/0"),
     ("member", "1/0 dx1"),
     ("diff", "--preset", "scalar-twist", "--twist", "1/0", "x1"),
+    ("diff", "x1", "--twist", "1/0"),
 ])
 def test_zero_denominator_exit_code(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -472,14 +473,55 @@ def test_overlong_integer_in_output(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
-def twisted_config(tmp_path):
-    """The twisted map of conftest as a config file (xi_entries[i][j][k])."""
-    bmap = NON_DIAGONAL_MAPS["twisted"]()
+def map_config(tmp_path, bmap):
+    """An n=2 map as a config file (xi_entries[i][j][k])."""
     entries = [[[format_algebra(bmap.entry(i, j, k)) for k in (1, 2)] for j in (1, 2)]
                for i in (1, 2)]
-    path = tmp_path / "twisted.json"
+    path = tmp_path / "map.json"
     path.write_text(json.dumps({"n": 2, "xi_entries": entries}))
     return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["preset", "quadratic"])
+def test_member_of_grade_zero(capsys, tmp_path, bounded):
+    # a grade-0 component reduces against its system, which is empty
+    flags = map_config(tmp_path, quadratic_map()) if bounded else ["--preset", "constant"]
+    code, out, _ = run(capsys, "member", "x1", *flags)
+    assert code == 1
+    assert out.splitlines() == ["status: not_member_at_bound", "residual: x1",
+                                "detail: irreducible remainder at grade 0"]
+
+
+@pytest.mark.parametrize("command", [("member", "dx1"), ("verify", "--suite", "d3")],
+                         ids=["member", "verify"])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_latex_refused_where_nothing_prints_it(capsys, tmp_path, command, from_config):
+    if from_config:
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps({"preset": "commutative", "format": "latex"}))
+        flags = ["--config", str(path)]
+    else:
+        flags = ["--format", "latex"]
+    code, out, err = run(capsys, *command, *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {command[0]} prints text or json, not latex\n"
+
+
+@pytest.mark.parametrize("timings", [False, True], ids=["plain", "timings"])
+def test_verify_timings(capsys, tmp_path, timings):
+    path = tmp_path / "report.json"
+    flags = ["--timings"] if timings else []
+    code, out, _ = run(capsys, "verify", "--suite", "d3", "--suite", "d2-binomial",
+                       "--max-word-len", "1", "--format", "json",
+                       "--report", str(path), *flags)
+    assert code == 0
+    for doc in (json.loads(out), json.loads(path.read_text())):
+        assert len(doc["suites"]) == 2
+        for suite in doc["suites"]:
+            assert ("duration_s" in suite) == timings
+            if timings:
+                assert isinstance(suite["duration_s"], float) and suite["duration_s"] >= 0
 
 
 # (x1 + x2)^18 has 2^18 terms.  Under the twisted map the prefix matrices
@@ -492,7 +534,8 @@ def twisted_config(tmp_path):
                          ids=["power-of-sum", "twisted-word", "twisted-push"])
 def test_term_cap(capsys, tmp_path, expr, twisted):
     started = time.perf_counter()
-    code, out, err = run(capsys, "diff", expr, *(twisted_config(tmp_path) if twisted else ()))
+    flags = map_config(tmp_path, NON_DIAGONAL_MAPS["twisted"]()) if twisted else ()
+    code, out, err = run(capsys, "diff", expr, *flags)
     assert time.perf_counter() - started < 2
     assert code == 3
     assert out == ""

@@ -182,13 +182,13 @@ def test_size_cap_reports_bound_exceeded():
     assert verdict.status == "bound_exceeded"
 
 
-# Candidate columns of the one system dx1 * dx_dx(1,2) * x1 needs: grade 3
-# from (generator, left letters, right letters) shapes, times word pairs.
-# commutative (degree 1, scalar-diagonal) and constant (degree 0): 24
-# shapes, an empty left word and 2 right words.
-# degree-one (degree 1, not scalar-diagonal): 24 shapes times the 4 word
-# pairs of total length 1, left words included.
-# quadratic (bounded, word bound 1): 28 shapes, entry_d3 being nonzero
+# Columns enumerated for the one system dx1 * dx_dx(1,2) * x1 needs: grade
+# 3 from generators with their left and right letters placed, times word
+# pairs.  commutative (degree 1, scalar-diagonal) and constant (degree 0):
+# 24 placements, an empty left word and 2 right words.
+# degree-one (degree 1, not scalar-diagonal): 24 placements times the 4
+# word pairs of total length 1, left words included.
+# quadratic (bounded, word bound 1): 28 placements, entry_d3 being nonzero
 # there, times the 5 word pairs of total length at most 1.
 @pytest.mark.parametrize("name, columns", [("commutative", 48), ("constant", 48),
                                            ("degree-one", 96), ("quadratic", 140)])
@@ -300,8 +300,9 @@ def test_quadratic_witness_is_pinned(quadratic_d3):
     ("constant", 2, 3, 1, None),
 ])
 def test_column_products_match_tensor_mul(name, n, grade, wdeg, word_bound):
-    # every column L * g * R, against two plain products built from its fields;
-    # a graded map keys its system by word degree, a bounded one by word bound
+    # every column L * g * R of the built system, against two plain products
+    # built from its fields; a graded map keys its system by word degree, a
+    # bounded one by word bound
     if name == "degree-one":
         bmap = build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))
     elif name == "quadratic":
@@ -310,9 +311,9 @@ def test_column_products_match_tensor_mul(name, n, grade, wdeg, word_bound):
         bmap = preset_map(name, n)
     ideal = Ideal(Calculus(bmap))
     assert ideal._graded == (wdeg is not None)
-    terms = list(ideal._candidates(grade, wdeg if ideal._graded else word_bound))
-    assert terms
-    for term in terms:
+    echelon, columns = ideal._system(grade, wdeg if ideal._graded else word_bound)
+    assert len(columns) == len(echelon.rows) > 0
+    for term in columns:
         left = TensorElement.monomial(n, term.left_dword,
                                       AlgebraElement.monomial(n, term.left_word))
         right = TensorElement.monomial(n, term.right_dword,

@@ -6,9 +6,9 @@ from dcubed.scalar import Scalar, Q, q_integer
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
-from dcubed.tensoralg import TensorElement
+from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.parsing import (
-    ParseError, parse_expression, parse_algebra,
+    ParseError, _Parser, parse_expression, parse_algebra,
     format_tensor, format_algebra, format_tensor_latex, tensor_to_obj,
 )
 
@@ -111,6 +111,26 @@ def test_deep_nesting_is_a_parse_error(calc, src):
 def test_moderate_nesting_parses(calc):
     assert parse_expression("(" * 150 + "x1" + ")" * 150, calc) \
         == TensorElement.of_algebra(x(2, 1))
+
+
+def test_leading_minus_is_the_prefix_minus(calc):
+    def t(*words):
+        return TensorElement.of_algebra(x(2, *words))
+
+    dx1 = TensorElement.of_letter(2, 1, 1)
+    assert parse_expression("-x1 x2", calc) == -t(1, 2)
+    assert parse_expression("- x1 + x2", calc) == t(2) - t(1)
+    assert parse_expression("-dx1 (*) x1", calc) == -tensor_mul(calc.bmap, dx1, t(1))
+    assert parse_expression("--x1", calc) == t(1)
+
+
+def test_prefix_minus_depth_limit(calc):
+    # every prefix '-' is one factor level, and the operand is one more
+    depth = _Parser.MAX_DEPTH
+    assert parse_expression("-" * (depth - 1) + "x1", calc) \
+        == -TensorElement.of_algebra(x(2, 1))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expression("-" * depth + "x1", calc)
 
 
 def test_parse_algebra_mode():
