@@ -89,7 +89,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the identity check suites")
     p_verify.add_argument("--suite", action="append", default=None,
-                          choices=("all",) + SUITES, metavar="NAME",
+                          choices=("all", *SUITES), metavar="NAME",
                           help=f"suite to run (repeatable): all, {', '.join(SUITES)}")
     p_verify.add_argument("--report", metavar="PATH",
                           help="write the JSON report to this file")

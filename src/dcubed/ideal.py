@@ -375,12 +375,13 @@ class Ideal:
             return Verdict("member", witness=[direct])
 
         if self._graded:
-            components = e.bidegree_components()
+            components, axis = e.bidegree_components(), "word degree"
         else:
             top = self.bounds.word_bound
             if top is None:
                 top = e.max_word_degree() + self._slack
             components = {(g, top): part for g, part in e.grade_components().items()}
+            axis = "word bound"
 
         # One loop for every component: below grade 2 the system is empty,
         # so the whole component is its remainder.
@@ -389,14 +390,14 @@ class Ideal:
             system = self._system(grade, top)
             if system is None:
                 return Verdict("bound_exceeded", detail=(
-                    f"spanning set for grade {grade} exceeds the size cap "
-                    f"{self.bounds.size_cap}"))
+                    f"spanning set for grade {grade}, {axis} {top} exceeds the "
+                    f"size cap {self.bounds.size_cap}"))
             echelon, columns = system
             combo, remainder = echelon.express(
                 _vectorize(components[(grade, top)], self._keys))
             if combo is None:
                 rest.update(remainder)
-                details.append(f"irreducible remainder at grade {grade}")
+                details.append(f"irreducible remainder at grade {grade}, {axis} {top}")
             else:
                 witness.extend(replace(columns[col_id], coeff=coeff)
                                for col_id, coeff in sorted(combo.items()))

@@ -33,9 +33,8 @@ from .calculus import Calculus
 class ParseError(ValueError):
     """Syntax or evaluation error, annotated with a character position."""
 
-    def __init__(self, message: str, position: int, source: str = ""):
+    def __init__(self, message: str, position: int):
         self.position = position
-        self.source = source
         super().__init__(f"{message} (at position {position})")
 
 
@@ -57,7 +56,7 @@ def _tokenize(src: str):
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos, src)
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
         if not m.group("ws"):
             kind = m.lastgroup
             tokens.append((kind, m.group(), pos))
@@ -74,7 +73,6 @@ class _Parser:
     MAX_DEPTH = 200
 
     def __init__(self, src: str, n: int, calc: Calculus | None):
-        self.src = src
         self.n = n
         self.calc = calc  # None = algebra-only mode (no letters, no d)
         self.tokens = _tokenize(src)
@@ -95,11 +93,11 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == op:
             return self.advance()
-        raise ParseError(f"expected {op!r}", pos, self.src)
+        raise ParseError(f"expected {op!r}", pos)
 
     def fail(self, message):
         _, _, pos = self.peek()
-        raise ParseError(message, pos, self.src)
+        raise ParseError(message, pos)
 
     def integer(self, digits: str, pos: int) -> int:
         """int(digits); past Python's int/str digit limit, a ParseError."""
@@ -107,7 +105,7 @@ class _Parser:
             return int(digits)
         except ValueError:
             raise ParseError(f"integer literal of {len(digits)} digits is too long",
-                             pos, self.src) from None
+                             pos) from None
 
     # -- value helpers ---------------------------------------------------------
 
@@ -130,7 +128,7 @@ class _Parser:
         value = self.expr()
         kind, tok_value, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"trailing input {tok_value!r}", pos, self.src)
+            raise ParseError(f"trailing input {tok_value!r}", pos)
         return value
 
     def expr(self) -> TensorElement:
@@ -193,11 +191,11 @@ class _Parser:
                 return self._of_scalar(Scalar(Fraction(self.integer(num, pos),
                                                        self.integer(den or "1", pos))))
             except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {value!r}", pos, self.src) from None
+                raise ParseError(f"zero denominator in {value!r}", pos) from None
         if kind == "name":
             return self.name_factor()
         raise ParseError(f"expected a value, found {value!r}" if value
-                         else "unexpected end of input", pos, self.src)
+                         else "unexpected end of input", pos)
 
     def name_factor(self) -> TensorElement:
         kind, value, pos = self.advance()
@@ -205,36 +203,33 @@ class _Parser:
             return self._of_scalar(Scalar(0, 1))
         if value == "d":
             if self.calc is None:
-                raise ParseError("differential not allowed here", pos, self.src)
+                raise ParseError("differential not allowed here", pos)
             self.expect_op("(")
             inner = self.expr()
             self.expect_op(")")
             if any(dword for dword in inner.terms):
                 raise ParseError(
-                    "d(...) takes a grade-0 argument; enter forms with letters",
-                    pos, self.src)
+                    "d(...) takes a grade-0 argument; enter forms with letters", pos)
             from .differential import d as apply_d
             return apply_d(self.calc, inner)
         if value.startswith("x") and value[1:].isdigit():
             index = self.integer(value[1:], pos)
             if not 1 <= index <= self.n:
-                raise ParseError(f"unknown generator {value!r} (n = {self.n})",
-                                 pos, self.src)
+                raise ParseError(f"unknown generator {value!r} (n = {self.n})", pos)
             return TensorElement.of_algebra(AlgebraElement.generator(self.n, index))
         m = _LETTER_NAME_RE.match(value)
         if m:
             if self.calc is None:
-                raise ParseError("letters not allowed here", pos, self.src)
+                raise ParseError("letters not allowed here", pos)
             grade = self.integer(m.group(1) or "1", pos)
             index = self.integer(m.group(2), pos)
             if grade == 0 or grade > 2:
-                raise ParseError(
-                    f"no grade-{grade} letters: d^3 x^i = 0", pos, self.src)
+                raise ParseError(f"no grade-{grade} letters: d^3 x^i = 0", pos)
             if not 1 <= index <= self.n:
                 raise ParseError(f"unknown generator index in {value!r} (n = {self.n})",
-                                 pos, self.src)
+                                 pos)
             return TensorElement.of_letter(self.n, grade, index)
-        raise ParseError(f"unknown name {value!r}", pos, self.src)
+        raise ParseError(f"unknown name {value!r}", pos)
 
 
 def parse_expression(src: str, calc: Calculus) -> TensorElement:

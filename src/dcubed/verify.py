@@ -11,6 +11,10 @@ The q-Leibniz defect of the grade-one operator is driven entirely by the
 right coefficient of the left factor: the rule holds raw whenever the right
 factor has grade 0, and whenever the left factor carries only scalar
 coefficients.  All other instances are congruences.
+
+``SUITES`` is the one table of suites: in run order, each name maps to a
+generator of its check instances, and ``run_suite`` and the ``--suite``
+choices of the CLI read it.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from .tensoralg import TensorElement, tensor_mul
 from .differential import d, d_power
 from .ideal import FAMILIES, Ideal, relations
 from .parsing import format_tensor, format_algebra
-
-SUITES = ("q-leibniz", "d3", "congruences", "d2-binomial", "generator-diffs")
 
 # Check names of the congruence suite, one per entry of FAMILIES.
 CONGRUENCES = ("dv_dx", "dv_d2x", "d2v_dx", "entry_d3", "d2v_d2x")
@@ -240,37 +242,33 @@ def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
     The differentials of the three lower families are oracle memberships.
     """
     calc, n = ideal.calc, ideal.n
+    gens = {(g.family, g.k): g.element for g in ideal.generators_for(i, j)}
     inputs = {"i": str(i), "j": str(j)}
     out = []
 
     for k in range(1, n + 1):
-        gen = ideal.generator_element("entry_d3", i, j, k)
         expected = TensorElement.zero(n)
         for l, dl in enumerate(calc.gradient(calc.bmap.entry(i, j, k)), start=1):
-            d3 = d_power(calc, TensorElement.of_algebra(dl), 3)
-            expected = expected + TensorElement(n, {((1, l),) + w: c
-                                                    for w, c in d3.terms.items()})
+            for w, c in d_power(calc, TensorElement.of_algebra(dl), 3).terms.items():
+                expected._accumulate(((1, l),) + w, c)
         out.append(_raw_instance("generator-diff:entry_d3",
                                  {**inputs, "k": str(k)},
-                                 d(calc, gen) - expected))
+                                 d(calc, gens["entry_d3", k]) - expected))
 
-    gen = ideal.generator_element("d2x_d2x", i, j)
     expected = TensorElement.zero(n)
     for k in range(1, n + 1):
-        t = ideal.generator_element("entry_d3", i, j, k)
-        expected = expected - TensorElement(n, {((2, k),) + w: c
-                                                for w, c in t.terms.items()})
+        for w, c in gens["entry_d3", k].terms.items():
+            expected._accumulate(((2, k),) + w, -c)
     out.append(_raw_instance("generator-diff:d2x_d2x", inputs,
-                             d(calc, gen) - expected))
+                             d(calc, gens["d2x_d2x", None]) - expected))
 
     for family in ("dx_dx", "dx_d2x", "d2x_dx"):
-        residual = d(calc, ideal.generator_element(family, i, j))
-        out.append(_membership_instance(
-            ideal, f"generator-diff:{family}", inputs, residual))
+        out.append(_membership_instance(ideal, f"generator-diff:{family}", inputs,
+                                        d(calc, gens[family, None])))
     return out
 
 
-# -- suite driver --------------------------------------------------------------
+# -- suites: each yields its check instances, drawing from rng -----------------
 
 
 def _all_words(n, max_len):
@@ -293,71 +291,74 @@ def _random_monomial_form(rng: random.Random, n: int, max_grade: int,
     return TensorElement.monomial(n, tuple(dword), AlgebraElement.monomial(n, word))
 
 
+def _q_leibniz_suite(ideal, rng, max_word_len):
+    n, indices = ideal.n, range(1, ideal.n + 1)
+    omegas = [TensorElement.of_algebra(AlgebraElement.generator(n, i)) for i in indices]
+    omegas += [TensorElement.of_letter(n, grade, i) for grade in (1, 2) for i in indices]
+    omegas += [TensorElement.monomial(n, ((1, i), (1, j)), AlgebraElement.one(n))
+               for i in indices for j in indices]
+    thetas = [TensorElement.of_algebra(AlgebraElement.generator(n, j)) for j in indices]
+    thetas += [TensorElement.of_letter(n, 1, j, AlgebraElement.generator(n, k))
+               for j in indices for k in indices]
+    thetas += [TensorElement.of_letter(n, 2, j) for j in indices]
+    for omega, theta in itertools.product(omegas, thetas):
+        yield check_q_leibniz(ideal, omega, theta)
+    for _ in range(RANDOM_SAMPLES):
+        omega = _random_monomial_form(rng, n, 2, 1)
+        yield check_q_leibniz(ideal, omega, _random_monomial_form(rng, n, 1, 1))
+
+
+def _d3_suite(ideal, rng, max_word_len):
+    n = ideal.n
+    for word in _all_words(n, max_word_len):
+        yield check_d3(ideal, TensorElement.of_algebra(AlgebraElement.monomial(n, word)))
+    for grade, i, word in itertools.product((1, 2), range(1, n + 1), _all_words(n, 1)):
+        yield check_d3(ideal, TensorElement.of_letter(
+            n, grade, i, AlgebraElement.monomial(n, word)))
+    for _ in range(RANDOM_SAMPLES):
+        yield check_d3(ideal, _random_monomial_form(rng, n, 2, 1))
+
+
+def _congruences_suite(ideal, rng, max_word_len):
+    n = ideal.n
+    # the empty word is v = 1
+    for word, j in itertools.product(_all_words(n, max_word_len), range(1, n + 1)):
+        yield from check_congruences(ideal, AlgebraElement.monomial(n, word), j)
+
+
+def _d2_binomial_suite(ideal, rng, max_word_len):
+    n = ideal.n
+    for wu, wv in itertools.product(_all_words(n, max_word_len), repeat=2):
+        yield check_d2_binomial(ideal, AlgebraElement.monomial(n, wu),
+                                AlgebraElement.monomial(n, wv))
+
+
+def _generator_diffs_suite(ideal, rng, max_word_len):
+    for i, j in itertools.product(range(1, ideal.n + 1), repeat=2):
+        yield from check_generator_diffs(ideal, i, j)
+
+
+# The check suites in run order: name -> (ideal, rng, max_word_len) -> instances.
+SUITES = {
+    "q-leibniz": _q_leibniz_suite,
+    "d3": _d3_suite,
+    "congruences": _congruences_suite,
+    "d2-binomial": _d2_binomial_suite,
+    "generator-diffs": _generator_diffs_suite,
+}
+
+
 def run_suite(ideal: Ideal, suites=("all",), seed: int = 0,
               max_word_len: int = 2, preset: str = "custom") -> SuiteReport:
-    names = list(SUITES) if ("all" in suites) else [s for s in SUITES if s in suites]
     unknown = set(suites) - set(SUITES) - {"all"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    n = ideal.n
-    suite_report = SuiteReport(preset=preset, n=n, seed=seed)
-
-    for name in names:
-        rng = random.Random(seed)  # each suite draws from the same seed
-        started = time.perf_counter()
-        report = CheckReport(name)
-        if name == "q-leibniz":
-            omegas = [TensorElement.of_algebra(AlgebraElement.generator(n, i))
-                      for i in range(1, n + 1)]
-            omegas += [TensorElement.of_letter(n, 1, i) for i in range(1, n + 1)]
-            omegas += [TensorElement.of_letter(n, 2, i) for i in range(1, n + 1)]
-            omegas += [TensorElement.monomial(n, ((1, i), (1, j)),
-                                              AlgebraElement.one(n))
-                       for i in range(1, n + 1) for j in range(1, n + 1)]
-            thetas = [TensorElement.of_algebra(AlgebraElement.generator(n, j))
-                      for j in range(1, n + 1)]
-            thetas += [TensorElement.of_letter(n, 1, j,
-                                               AlgebraElement.generator(n, k))
-                       for j in range(1, n + 1) for k in range(1, n + 1)]
-            thetas += [TensorElement.of_letter(n, 2, j) for j in range(1, n + 1)]
-            for omega in omegas:
-                for theta in thetas:
-                    report.instances.append(check_q_leibniz(ideal, omega, theta))
-            for _ in range(RANDOM_SAMPLES):
-                omega = _random_monomial_form(rng, n, 2, 1)
-                theta = _random_monomial_form(rng, n, 1, 1)
-                report.instances.append(check_q_leibniz(ideal, omega, theta))
-        elif name == "d3":
-            for word in _all_words(n, max_word_len):
-                report.instances.append(check_d3(
-                    ideal, TensorElement.of_algebra(AlgebraElement.monomial(n, word))))
-            for grade in (1, 2):
-                for i in range(1, n + 1):
-                    for word in _all_words(n, 1):
-                        w = TensorElement.of_letter(
-                            n, grade, i, AlgebraElement.monomial(n, word))
-                        report.instances.append(check_d3(ideal, w))
-            for _ in range(RANDOM_SAMPLES):
-                report.instances.append(
-                    check_d3(ideal, _random_monomial_form(rng, n, 2, 1)))
-        elif name == "congruences":
-            vs = [AlgebraElement.one(n)]
-            vs += [AlgebraElement.monomial(n, w) for w in _all_words(n, max_word_len)
-                   if w]
-            for v in vs:
-                for j in range(1, n + 1):
-                    report.instances.extend(check_congruences(ideal, v, j))
-        elif name == "d2-binomial":
-            words = list(_all_words(n, max_word_len))
-            for wu in words:
-                for wv in words:
-                    report.instances.append(check_d2_binomial(
-                        ideal, AlgebraElement.monomial(n, wu),
-                        AlgebraElement.monomial(n, wv)))
-        elif name == "generator-diffs":
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    report.instances.extend(check_generator_diffs(ideal, i, j))
-        report.duration_s = time.perf_counter() - started
-        suite_report.reports.append(report)
+    suite_report = SuiteReport(preset=preset, n=ideal.n, seed=seed)
+    for name, suite in SUITES.items():
+        if "all" in suites or name in suites:
+            started = time.perf_counter()
+            # each suite draws from the same seed
+            instances = list(suite(ideal, random.Random(seed), max_word_len))
+            suite_report.reports.append(
+                CheckReport(name, instances, time.perf_counter() - started))
     return suite_report

@@ -488,8 +488,17 @@ def test_member_of_grade_zero(capsys, tmp_path, bounded):
     flags = map_config(tmp_path, quadratic_map()) if bounded else ["--preset", "constant"]
     code, out, _ = run(capsys, "member", "x1", *flags)
     assert code == 1
+    where = "word bound 3" if bounded else "word degree 1"
     assert out.splitlines() == ["status: not_member_at_bound", "residual: x1",
-                                "detail: irreducible remainder at grade 0"]
+                                f"detail: irreducible remainder at grade 0, {where}"]
+
+
+def test_member_details_name_the_bidegree(capsys):
+    code, out, _ = run(capsys, "member", "d2x1 + d2x1 x1 + dx1 + dx1 x2")
+    assert code == 1
+    assert out.splitlines()[-1] == "detail: " + "; ".join(
+        f"irreducible remainder at grade {g}, word degree {w}"
+        for g in (1, 2) for w in (0, 1))
 
 
 @pytest.mark.parametrize("command", [("member", "dx1"), ("verify", "--suite", "d3")],

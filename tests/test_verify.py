@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from dcubed.freealg import AlgebraElement
-from dcubed.bimodule import preset_map
+from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement
 from dcubed import verify
@@ -13,7 +14,7 @@ from dcubed.verify import (
     check_generator_diffs, run_suite, SUITES,
 )
 
-from conftest import PRESET_NAMES, x
+from conftest import PRESET_NAMES, SMALL_SCALARS, x
 
 
 @pytest.fixture(params=PRESET_NAMES)
@@ -154,6 +155,54 @@ def test_run_suite_all_passes(preset_ideal, monkeypatch):
 def test_run_suite_rejects_unknown_names(commutative_ideal):
     with pytest.raises(ValueError):
         run_suite(commutative_ideal, ("no-such-suite",))
+
+
+@pytest.fixture(scope="module")
+def commutative_all():
+    ideal = Ideal(Calculus(preset_map("commutative", 2)))
+    return ideal, run_suite(ideal, ("all",), seed=4, max_word_len=1)
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_run_suite_selects_one_entry_of_the_table(commutative_all, name):
+    ideal, everything = commutative_all
+    report = run_suite(ideal, (name,), seed=4, max_word_len=1)
+    [only] = report.reports
+    assert only.name == name
+    [expected] = [r for r in everything.reports if r.name == name]
+    assert [i.to_dict() for i in only.instances] == \
+        [i.to_dict() for i in expected.instances]
+
+
+def test_run_suite_runs_a_repeated_name_once(commutative_ideal):
+    report = run_suite(commutative_ideal, ("d3", "d3"), max_word_len=1)
+    assert [r.name for r in report.reports] == ["d3"]
+
+
+def random_map(seed, degree):
+    """A random n=2 map, not diagonal: every entry a small nonzero scalar
+    (degree 0) or a linear form c1 x1 + c2 x2 with small nonzero c1, c2
+    (degree 1)."""
+    rng = random.Random(seed)
+
+    def entry():
+        if degree == 0:
+            return AlgebraElement.scalar(2, rng.choice(SMALL_SCALARS))
+        return x(2, 1).scale(rng.choice(SMALL_SCALARS)) \
+            + x(2, 2).scale(rng.choice(SMALL_SCALARS))
+
+    return BimoduleMap(2, [[[entry() for _ in range(2)] for _ in range(2)]
+                           for _ in range(2)])
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_suite_passes_on_random_maps(seed, degree):
+    bmap = random_map(seed, degree)
+    assert bmap.entry_degrees() == {degree}
+    report = run_suite(Ideal(Calculus(bmap)), ("all",), seed, max_word_len=1)
+    assert report.exit_code == 0, [(i.check, i.inputs) for r in report.reports
+                                   for i in r.instances if i.verdict != "pass"]
 
 
 def test_report_serialization_and_determinism(commutative_ideal):
