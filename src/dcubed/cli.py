@@ -64,8 +64,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "on its bounded path, never for a preset")
     common.add_argument("--size-cap", type=int, metavar="N",
                         help="spanning-set size cap for the membership oracle")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help="seed for sampled checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,6 +93,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           help="write the JSON report to this file")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall-clock timings in the JSON report")
+    p_verify.add_argument("--seed", type=int, metavar="N",
+                          help="seed for sampled checks")
     p_verify.add_argument("--max-word-len", type=int, default=2,
                           help="exhaustive word length for sampled checks "
                                f"(0 to {MAX_WORD_LEN})")
@@ -108,14 +108,10 @@ def _session(args) -> SessionConfig:
         cfg.xi_entries = None
     if args.config is None and cfg.preset is None and cfg.xi_entries is None:
         cfg.preset = "commutative"
-    if args.n is not None:
-        cfg.n = args.n
-    if args.twist is not None:
-        cfg.twist = args.twist
-    if args.format is not None:
-        cfg.format = args.format
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for name in ("n", "twist", "format", "seed"):
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(cfg, name, value)
     for bound in fields(cfg.bounds):
         value = getattr(args, bound.name)
         if value is not None:

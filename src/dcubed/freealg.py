@@ -146,13 +146,6 @@ class _Sparse:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _split(self, part_of) -> dict:
-        """Partition the terms by ``part_of(key)``; the parts sum to self."""
-        parts = {}
-        for key, coeff in self.terms.items():
-            parts.setdefault(part_of(key), {})[key] = coeff
-        return {part: self._new(self.n, terms) for part, terms in parts.items()}
-
     def sorted_terms(self):
         order = self._order
         return sorted(self.terms.items(), key=lambda kv: order(kv[0]))
@@ -217,10 +210,6 @@ class AlgebraElement(_Sparse):
         if not self.terms:
             raise ValueError("degree of the zero element is undefined")
         return max(len(w) for w in self.terms)
-
-    def degree_parts(self) -> dict:
-        """Split into word-length-homogeneous summands, keyed by length."""
-        return self._split(len)
 
     def constant_value(self):
         """The scalar value, provided no non-unit word occurs."""

@@ -22,7 +22,9 @@ identically in the representation and would only contribute zero vectors.
 Membership is decided by exact linear algebra over Q(q): reduce the query
 against an incrementally built echelon basis of the span of the products
 left-monomial * generator * right-monomial of its grade.  Vectors are keyed
-by the term order itself, so a pivot is a plain ``max``.  The basis keeps
+by the term order itself, so a pivot is a plain ``max``, and a key begins
+with its term's grade and word degree: a query is vectorized once, and its
+keys say which system each of its terms goes to.  The basis keeps
 no combination of products per row, only how each accepted product
 reduced when it was inserted; a ``member`` verdict's witness is recovered
 from those records by back-substitution (see :class:`_Echelon`), and it
@@ -61,8 +63,6 @@ from .differential import d
 FAMILY_GRADES = {
     "dx_dx": 2, "dx_d2x": 3, "d2x_dx": 3, "entry_d3": 3, "d2x_d2x": 4,
 }
-
-FAMILIES = tuple(FAMILY_GRADES)
 
 @dataclass
 class Bounds:
@@ -339,49 +339,69 @@ class Ideal:
     # -- generators ----------------------------------------------------------
 
     def generator_element(self, family, i, j, k=None) -> TensorElement:
-        for gen in self.generators_for(i, j):
-            if gen.family == family and gen.k == k:
-                return gen.element
-        raise ValueError(f"no generator {label(family, i, j, k)}")
+        gen = self.generators_for(i, j).get((family, k))
+        if gen is None:
+            raise ValueError(f"no generator {label(family, i, j, k)}")
+        return gen.element
 
-    def generators_for(self, i, j):
-        """All generators attached to the index pair (i, j), zeros included."""
+    def generators_for(self, i, j) -> dict:
+        """All generators attached to the index pair (i, j), zeros included,
+        keyed (family, k) in table order as :func:`relations` keys them."""
         gens = self._generators.get((i, j))
         if gens is None:
             rels = relations(self.calc, AlgebraElement.generator(self.n, i), j)
-            gens = tuple(Generator(family, i, j, k, element)
-                         for (family, k), element in rels.items())
-            self._generators[(i, j)] = gens
+            gens = self._generators[(i, j)] = {
+                (family, k): Generator(family, i, j, k, element)
+                for (family, k), element in rels.items()}
         return gens
 
     def all_generators(self):
         """Nonzero generators over all index pairs (the spanning alphabet)."""
         if self._nonzero is None:
             pairs = itertools.product(range(1, self.n + 1), repeat=2)
-            self._nonzero = tuple(g for i, j in pairs for g in self.generators_for(i, j)
+            self._nonzero = tuple(g for i, j in pairs
+                                  for g in self.generators_for(i, j).values()
                                   if not g.element.is_zero)
         return self._nonzero
 
     # -- membership ------------------------------------------------------------
 
     def membership(self, e: TensorElement) -> Verdict:
+        """Decide whether e lies in the ideal, reducing each component once.
+
+        The status is ``member``, ``not_member_at_bound`` or
+        ``bound_exceeded``.  A member's witness is a list of
+        :class:`WitnessTerm`, and :meth:`expand_witness` re-expands it to e
+        exactly.  A non-member's residual is the normal form of e: zero
+        exactly for members, left unchanged by a second reduction, and
+        differing from e by a member.  Its detail names the system of each
+        failed part, and a size-cap verdict names the system refused.
+
+        e is vectorized once.  Each key starts with its term's grade and
+        word degree, so one pass over the keys splits e into the systems
+        it meets: one per bidegree (grade, word degree) on the graded
+        path, one per grade at the word bound on the bounded path.
+        """
         if e.n != self.n:
             raise ValueError(f"element has {e.n} generators, ideal has {self.n}")
-        if e.is_zero:
+        vec = _vectorize(e, self._keys)
+        if not vec:
             return Verdict("member", witness=[])
 
-        direct = self._scalar_multiple_of_generator(e)
+        direct = self._scalar_multiple_of_generator(e, vec)
         if direct is not None:
             return Verdict("member", witness=[direct])
 
-        if self._graded:
-            components, axis = e.bidegree_components(), "word degree"
-        else:
+        top = None
+        if not self._graded:
             top = self.bounds.word_bound
             if top is None:
-                top = e.max_word_degree() + self._slack
-            components = {(g, top): part for g, part in e.grade_components().items()}
-            axis = "word bound"
+                top = max(wkey[0] for _, wkey in vec) + self._slack
+        axis = "word degree" if top is None else "word bound"
+        components = {}  # (grade, top) -> the part of vec in that system
+        for key, coeff in vec.items():
+            dkey, wkey = key
+            components.setdefault((dkey[0], wkey[0] if top is None else top), {})[key] = coeff
 
         # One loop for every component: below grade 2 the system is empty,
         # so the whole component is its remainder.
@@ -393,8 +413,7 @@ class Ideal:
                     f"spanning set for grade {grade}, {axis} {top} exceeds the "
                     f"size cap {self.bounds.size_cap}"))
             echelon, columns = system
-            combo, remainder = echelon.express(
-                _vectorize(components[(grade, top)], self._keys))
+            combo, remainder = echelon.express(components[(grade, top)])
             if combo is None:
                 rest.update(remainder)
                 details.append(f"irreducible remainder at grade {grade}, {axis} {top}")
@@ -406,8 +425,9 @@ class Ideal:
                            detail="; ".join(details))
         return Verdict("member", witness=witness)
 
-    def _scalar_multiple_of_generator(self, e: TensorElement):
-        """One-term witness when e is exactly c * (some generator).
+    def _scalar_multiple_of_generator(self, e: TensorElement, vec):
+        """One-term witness when e, whose vector is vec, is exactly
+        c * (some generator).
 
         Generators can be linearly dependent (the commutative preset has
         such relations), so the generic solve may pick a combination; this
@@ -419,7 +439,6 @@ class Ideal:
                 gvec = _vectorize(gen.element, self._keys)
                 glead = max(gvec)
                 self._leads.setdefault(glead, []).append((gen, gvec[glead].inv()))
-        vec = _vectorize(e, self._keys)
         lead = max(vec)
         for gen, inv in self._leads.get(lead, ()):
             factor = vec[lead] * inv

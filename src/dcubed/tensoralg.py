@@ -73,10 +73,6 @@ class TensorElement(_Sparse):
 
     # -- grading -----------------------------------------------------------
 
-    def grade_components(self) -> dict:
-        """Partition by tensor-word grade; the parts sum back to the element."""
-        return self._split(dword_grade)
-
     def homogeneous_grade(self):
         """The common grade, or None when grades are mixed; zero has grade 0."""
         grades = {dword_grade(w) for w in self.terms}
@@ -95,15 +91,6 @@ class TensorElement(_Sparse):
 
     def max_word_degree(self) -> int:
         return max((c.degree() for c in self.terms.values()), default=0)
-
-    def bidegree_components(self) -> dict:
-        """Split by (grade, coefficient word length); exact over a bigraded map."""
-        parts = {}
-        for dword, coeff in self.terms.items():
-            g = dword_grade(dword)
-            for length, piece in coeff.degree_parts().items():
-                parts.setdefault((g, length), {})[dword] = piece
-        return {part: TensorElement._new(self.n, terms) for part, terms in parts.items()}
 
     def __str__(self):
         from .parsing import format_tensor

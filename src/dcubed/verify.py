@@ -29,11 +29,12 @@ from .scalar import q_power, q_integer
 from .freealg import AlgebraElement
 from .tensoralg import TensorElement, tensor_mul
 from .differential import d, d_power
-from .ideal import FAMILIES, Ideal, relations
+from .ideal import Ideal, relations
 from .parsing import format_tensor, format_algebra
 
-# Check names of the congruence suite, one per entry of FAMILIES.
-CONGRUENCES = ("dv_dx", "dv_d2x", "d2v_dx", "entry_d3", "d2v_d2x")
+# Check names of the congruence suite, one per generator family.
+CONGRUENCES = {"dx_dx": "dv_dx", "dx_d2x": "dv_d2x", "d2x_dx": "d2v_dx",
+               "entry_d3": "entry_d3", "d2x_d2x": "d2v_d2x"}
 
 
 # What each membership status means, as a check verdict and as a process
@@ -214,8 +215,7 @@ def check_congruences(ideal: Ideal, v: AlgebraElement, j: int) -> list:
     the oracle returns one-term witnesses.
     """
     inputs = {"v": format_algebra(v), "j": str(j)}
-    names = dict(zip(FAMILIES, CONGRUENCES))
-    return [_membership_instance(ideal, f"congruence:{names[family]}",
+    return [_membership_instance(ideal, f"congruence:{CONGRUENCES[family]}",
                                  inputs if k is None else {**inputs, "k": str(k)}, residual)
             for (family, k), residual in relations(ideal.calc, v, j).items()]
 
@@ -242,7 +242,7 @@ def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
     The differentials of the three lower families are oracle memberships.
     """
     calc, n = ideal.calc, ideal.n
-    gens = {(g.family, g.k): g.element for g in ideal.generators_for(i, j)}
+    gens = ideal.generators_for(i, j)
     inputs = {"i": str(i), "j": str(j)}
     out = []
 
@@ -253,18 +253,18 @@ def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
                 expected._accumulate(((1, l),) + w, c)
         out.append(_raw_instance("generator-diff:entry_d3",
                                  {**inputs, "k": str(k)},
-                                 d(calc, gens["entry_d3", k]) - expected))
+                                 d(calc, gens["entry_d3", k].element) - expected))
 
     expected = TensorElement.zero(n)
     for k in range(1, n + 1):
-        for w, c in gens["entry_d3", k].terms.items():
+        for w, c in gens["entry_d3", k].element.terms.items():
             expected._accumulate(((2, k),) + w, -c)
     out.append(_raw_instance("generator-diff:d2x_d2x", inputs,
-                             d(calc, gens["d2x_d2x", None]) - expected))
+                             d(calc, gens["d2x_d2x", None].element) - expected))
 
     for family in ("dx_dx", "dx_d2x", "d2x_dx"):
         out.append(_membership_instance(ideal, f"generator-diff:{family}", inputs,
-                                        d(calc, gens[family, None])))
+                                        d(calc, gens[family, None].element)))
     return out
 
 

@@ -106,7 +106,7 @@ def test_criterion_4_d_compatibility():
             ideal = fresh_ideal(name)
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
-                    for gen in ideal.generators_for(i, j):
+                    for gen in ideal.generators_for(i, j).values():
                         image = d(ideal.calc, gen.element)
                         verdict = ideal.membership(image)
                         assert verdict.is_member, (name, gen.label())

@@ -190,6 +190,18 @@ def test_verify_reports_are_deterministic(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_seed_belongs_to_verify(capsys):
+    # only verify samples, so only verify takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "dx1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "--suite", "d3", "--seed", "42",
+                       "--max-word-len", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 42
+
+
 # sha256 of `verify --format json` stdout; a change that alters witnesses on
 # purpose measures and pins these again
 VERIFY_JSON_SHA256 = {

@@ -11,7 +11,9 @@ from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d, d_power
+from dcubed import ideal as ideal_module
 from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, _Echelon
+from dcubed.parsing import parse_expression
 
 from conftest import (
     DEGREE_ONE, PRESET_NAMES, SMALL_SCALARS, normal_form, quadratic_map,
@@ -84,7 +86,7 @@ def test_constant_preset_degenerate_families():
 def test_generator_grades(preset_ideal):
     for gen in preset_ideal.all_generators():
         assert gen.element.homogeneous_grade() == FAMILY_GRADES[gen.family]
-    listing = preset_ideal.generators_for(1, 2)
+    listing = preset_ideal.generators_for(1, 2).values()
     assert [g.family for g in listing] == [
         "dx_dx", "dx_d2x", "d2x_dx", "entry_d3", "entry_d3", "d2x_d2x"]
 
@@ -172,6 +174,27 @@ def test_residual_is_exact(commutative_ideal):
     verdict = commutative_ideal.membership(e)
     assert verdict.status == "not_member_at_bound"
     assert verdict.residual == mono(2, ((2, 1),))
+
+
+@pytest.mark.parametrize("name", ["commutative", "quadratic"])
+def test_membership_vectorizes_the_query_once(name, monkeypatch):
+    # four components on commutative, two on the bounded path of quadratic:
+    # each is read off the one vector, not vectorized again
+    bmap = quadratic_map() if name == "quadratic" else preset_map(name, 2)
+    ideal = Ideal(Calculus(bmap))
+    query = parse_expression("d2x1 + d2x1 x1 + dx1 + dx1 x2", ideal.calc)
+    cold = ideal.membership(query)  # builds the systems and generator leads
+    vectorize, calls = ideal_module._vectorize, []
+
+    def counted(e, keys):
+        calls.append(e)
+        return vectorize(e, keys)
+
+    monkeypatch.setattr(ideal_module, "_vectorize", counted)
+    warm = ideal.membership(query)
+    assert calls == [query]
+    assert warm.status == cold.status == "not_member_at_bound"
+    assert warm.residual == cold.residual
 
 
 def test_size_cap_reports_bound_exceeded():

@@ -1,7 +1,8 @@
-"""Property tests of the membership oracle on the three presets at n = 2.
+"""Property tests of the membership oracle on the three presets at n = 2,
+and on the bounded path of the quadratic map.
 
-Each preset's :class:`Ideal` is built once for the module, so the systems
-one example builds are reused by the next.  Queries stay at grade <= 4 and
+Each :class:`Ideal` is built once for the module, so the systems one
+example builds are reused by the next.  Queries stay at grade <= 4 and
 word degree <= 2, where a system has at most a few hundred columns.
 
 The residual of a verdict is the normal form modulo the ideal: zero for
@@ -19,10 +20,10 @@ from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d_power
-from dcubed.ideal import Ideal
+from dcubed.ideal import Bounds, Ideal
 from dcubed.verify import check_q_leibniz
 
-from conftest import PRESET_NAMES, SMALL_SCALARS, normal_form
+from conftest import PRESET_NAMES, SMALL_SCALARS, normal_form, quadratic_map
 
 N = 2
 IDEALS = {name: Ideal(Calculus(preset_map(name, N))) for name in PRESET_NAMES}
@@ -135,3 +136,19 @@ def test_q_leibniz_holds_modulo_the_ideal(name, c, side, terms):
     theta = element(terms)
     inst = check_q_leibniz(IDEALS[name], omega, theta)
     assert inst.verdict == "pass", inst.to_dict()
+
+
+# The bounded path: the quadratic map at word bound 1, where a system of
+# grade <= 4 has at most 500 columns.
+QUADRATIC = Ideal(Calculus(quadratic_map()), Bounds(word_bound=1))
+
+
+@examples
+@given(elements(2))
+def test_the_bounded_residual_is_a_normal_form(terms):
+    e = element(terms)
+    nf = normal_form(QUADRATIC, e)
+    assert normal_form(QUADRATIC, nf) == nf
+    verdict = QUADRATIC.membership(e - nf)
+    assert verdict.is_member
+    assert QUADRATIC.expand_witness(verdict.witness) == e - nf

@@ -99,22 +99,6 @@ def test_equal_scalars_meet_in_sets():
 
 
 @examples
-@given(algebras())
-def test_degree_parts_sum_back(u):
-    parts = u.degree_parts()
-    assert sum(parts.values(), AlgebraElement.zero(N)) == u
-    assert all({len(w) for w in p.terms} == {k} for k, p in parts.items())
-
-
-@examples
-@given(tensors)
-def test_grade_and_bidegree_components_sum_back(e):
-    for parts in (e.grade_components(), e.bidegree_components()):
-        assert sum(parts.values(), TensorElement.zero(N)) == e
-    assert all(p.homogeneous_grade() == g for g, p in e.grade_components().items())
-
-
-@examples
 @given(algebras(2), algebras(2), algebras(2))
 def test_algebra_product_is_associative_and_distributive(u, v, w):
     assert (u * v) * w == u * (v * w)

@@ -34,7 +34,7 @@ from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
 from dcubed.freealg import AlgebraElement
 from dcubed.ideal import Ideal, _vectorize
-from dcubed.tensoralg import TensorElement, tensor_mul
+from dcubed.tensoralg import TensorElement, dword_grade, tensor_mul
 
 from conftest import DEGREE_ONE, quadratic_map
 
@@ -102,10 +102,16 @@ def products(ideal, grade, totals, left_words=True):
                                              right)
 
 
+def bidegrees(e):
+    """The (grade, word length) of every term of e, read off the terms."""
+    return {(dword_grade(dword), len(word))
+            for dword, coeff in e.terms.items() for word in coeff.terms}
+
+
 def bidegree_part(products, grade, wdeg):
     """The products of bidegree (grade, wdeg); each must be homogeneous."""
     for product in products:
-        parts = product.bidegree_components()
+        parts = bidegrees(product)
         assert len(parts) <= 1
         if (grade, wdeg) in parts:
             yield product

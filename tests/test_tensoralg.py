@@ -70,20 +70,6 @@ def test_push_through_equals_canonicalization():
     assert got == dx(2, 1, x(2, 1))
 
 
-def test_grade_components():
-    e = dx(2, 1) + d2x(2, 1)
-    parts = e.grade_components()
-    assert sorted(parts) == [1, 2]
-    assert parts[1] == dx(2, 1)
-    assert parts[2] == d2x(2, 1)
-    u = TensorElement.of_algebra(x(2, 1, 2))
-    assert list(u.grade_components()) == [0]
-    w = TensorElement.monomial(2, ((1, 1), (1, 2)), x(2, 1))
-    assert w.grade_components() == {2: w}
-    total = sum(parts.values(), TensorElement.zero(2))
-    assert total == e
-
-
 def test_equality_is_canonical_form_equality():
     m = preset_map("commutative", 2)
     lhs = tensor_mul(m, TensorElement.of_algebra(x(2, 1)), dx(2, 1))
@@ -129,18 +115,14 @@ def test_low_grades_have_expected_shapes():
     # grade 2: second-order letters and pairs of first-order letters
     e = TensorElement.of_algebra(x(2, 1)) + dx(2, 2) + d2x(2, 1) \
         + TensorElement.monomial(2, ((1, 1), (1, 1)), AlgebraElement.one(2))
-    parts = e.grade_components()
-    assert all(w == () for w in parts[0].terms)
-    assert all(len(w) == 1 and w[0][0] == 1 for w in parts[1].terms)
-    for w in parts[2].terms:
+    parts = {}
+    for w in e.terms:
+        parts.setdefault(dword_grade(w), []).append(w)
+    assert sorted(parts) == [0, 1, 2]
+    assert all(w == () for w in parts[0])
+    assert all(len(w) == 1 and w[0][0] == 1 for w in parts[1])
+    for w in parts[2]:
         assert w == ((2, 1),) or [a for a, _ in w] == [1, 1]
-
-
-def test_bidegree_split():
-    e = dx(2, 1, x(2, 1) + AlgebraElement.one(2)) + d2x(2, 2, x(2, 1, 2))
-    parts = e.bidegree_components()
-    assert set(parts) == {(1, 0), (1, 1), (2, 2)}
-    assert sum(parts.values(), TensorElement.zero(2)) == e
 
 
 def test_mixed_generator_counts_rejected():
