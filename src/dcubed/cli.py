@@ -25,7 +25,7 @@ from .config import (
 )
 from .differential import d_power
 from .freealg import AlgebraElement, TermLimitError
-from .ideal import Ideal, label
+from .ideal import Ideal
 from .parsing import (
     ParseError, parse_expression, format_tensor, format_tensor_latex,
     tensor_to_obj,
@@ -153,8 +153,7 @@ def _witness_lines(witness, n):
     for term in witness:
         left = monomial_text(term.left_dword, term.left_word)
         right = monomial_text(term.right_dword, term.right_word)
-        name = label(term.family, term.i, term.j, term.k)
-        lines.append(f"  ({term.coeff}) * [{left}] {name} [{right}]")
+        lines.append(f"  ({term.coeff}) * [{left}] {term.generator.label()} [{right}]")
     return lines
 
 

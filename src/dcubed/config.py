@@ -70,7 +70,8 @@ class SessionConfig:
             raise ConfigError("twist must be an expression string")
         if self.preset is None and self.xi_entries is None:
             raise ConfigError("either a preset or xi_entries must be given")
-        if self.preset is not None and self.preset not in PRESETS:
+        if self.preset is not None and (not isinstance(self.preset, str)
+                                        or self.preset not in PRESETS):
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         if self.format not in FORMATS:

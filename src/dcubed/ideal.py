@@ -77,11 +77,6 @@ class Bounds:
     size_cap: int = 200_000
 
 
-def label(family, i, j, k=None) -> str:
-    """A generator's name: family(i,j), or family(i,j,k) for entry_d3."""
-    return f"{family}({i},{j})" if k is None else f"{family}({i},{j},{k})"
-
-
 def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
     """The five relations of the module docstring's table, x^i replaced by v.
 
@@ -132,28 +127,33 @@ class Generator:
         return FAMILY_GRADES[self.family]
 
     def label(self) -> str:
-        return label(self.family, self.i, self.j, self.k)
+        """The name: family(i,j), or family(i,j,k) for entry_d3."""
+        k = "" if self.k is None else f",{self.k}"
+        return f"{self.family}({self.i},{self.j}{k})"
 
 
 @dataclass(frozen=True, slots=True)
 class WitnessTerm:
+    """One term ``coeff * L * generator * R`` of a witness.
+
+    L and R are monomials, letters then a coefficient word.  The term holds
+    the ideal's own :class:`Generator`, so re-expanding it looks nothing up.
+    """
     left_dword: tuple
     left_word: tuple
-    family: str
-    i: int
-    j: int
-    k: int | None
+    generator: Generator
     right_dword: tuple
     right_word: tuple
     coeff: Scalar
 
     def to_dict(self):
+        gen = self.generator
         return {
             "left": {"letters": [list(l) for l in self.left_dword],
                      "word": list(self.left_word)},
-            "family": self.family,
-            "i": self.i, "j": self.j,
-            **({"k": self.k} if self.k is not None else {}),
+            "family": gen.family,
+            "i": gen.i, "j": gen.j,
+            **({"k": gen.k} if gen.k is not None else {}),
             "right": {"letters": [list(l) for l in self.right_dword],
                       "word": list(self.right_word)},
             "coefficient": str(self.coeff),
@@ -214,23 +214,27 @@ def _sub_scaled(target, source, factor):
 
 
 class _Echelon:
-    """Row basis of the span of the inserted columns, with witnesses.
+    """Row basis of the span of the inserted vectors, with their columns.
 
-    Every stored row is normalized so its pivot (the largest key it touches)
-    has coefficient one, and all its other keys are strictly smaller, so
-    elimination in descending key order terminates.  A row holds no
-    combination of columns.  Beside it, ``records`` keeps how its column
-    reduced when it was inserted: the column is ``lead * row`` plus the
-    ``factor`` multiple of each earlier row it met.  Only the independent
-    columns make rows, so a vector in the span is one combination of them,
-    and :meth:`express` recovers it by back-substitution over the records.
+    Each vector is inserted with the column it stands for (an oracle system
+    passes a unit-coefficient :class:`WitnessTerm`); ``columns`` keeps the
+    accepted ones, one per row, in insertion order.  Every stored row is
+    normalized so its pivot (the largest key it touches) has coefficient
+    one, and all its other keys are strictly smaller, so elimination in
+    descending key order terminates.  A row holds no combination of
+    columns.  Beside it, ``records`` keeps how its vector reduced when it
+    was inserted: the vector is ``lead * row`` plus the ``factor`` multiple
+    of each earlier row it met.  Only independent vectors make rows, so a
+    vector in the span is one combination of the columns, and
+    :meth:`express` recovers it by back-substitution over the records.
     """
 
-    __slots__ = ("rows", "records")
+    __slots__ = ("rows", "records", "columns")
 
     def __init__(self):
         self.rows = {}  # pivot key -> normalized vector
-        self.records = {}  # pivot key -> (column id, 1 / lead, {earlier pivot: factor})
+        self.records = {}  # pivot key -> (column index, 1 / lead, {earlier pivot: factor})
+        self.columns = []  # the accepted columns, in insertion order
 
     def _reduce(self, vec):
         """Full normal form: keys without a pivot survive into the remainder.
@@ -246,25 +250,28 @@ class _Echelon:
             factor = factors[target] = vec[target]
             _sub_scaled(vec, rows[target], factor)
 
-    def insert(self, vec, col_id) -> bool:
+    def insert(self, vec, column) -> bool:
+        """Add a row for vec unless the rows span it; keep column if added."""
         vec, factors = self._reduce(dict(vec))
         if not vec:
             return False
         lead = max(vec)
         inv = vec[lead].inv()
         self.rows[lead] = {k: v * inv for k, v in vec.items()}
-        self.records[lead] = (col_id, inv, factors)
+        self.records[lead] = (len(self.columns), inv, factors)
+        self.columns.append(column)
         return True
 
     def express(self, vec):
-        """Combination of original columns equal to vec, or the remainder.
+        """``([(column, coeff), ...], None)`` with the columns in insertion
+        order and their vectors summing to vec, or ``(None, remainder)``.
 
         Reducing vec leaves ``pending``: its coefficient on each row.  The
-        row with the latest column is that column over its lead, less the
-        earlier rows its record names, so its column takes the coefficient
-        ``a = pending / lead``, and each earlier row the record names takes
-        ``-a * factor`` more.  A heap visits the rows reached, latest
-        column first, so every row is settled once.
+        row with the latest column is that column's vector over its lead,
+        less the earlier rows its record names, so its column takes the
+        coefficient ``a = pending / lead``, and each earlier row the record
+        names takes ``-a * factor`` more.  A heap visits the rows reached,
+        latest column first, so every row is settled once.
         """
         vec, pending = self._reduce(dict(vec))
         if vec:
@@ -272,14 +279,14 @@ class _Echelon:
         records = self.records
         heap = [(-records[pivot][0], pivot) for pivot in pending]
         heapq.heapify(heap)
-        combo = {}
+        combo = {}  # index in columns -> coefficient
         while heap:
             pivot = heapq.heappop(heap)[1]
             coeff = pending.pop(pivot)
             if not coeff:
                 continue
-            col_id, inv, factors = records[pivot]
-            coeff = combo[col_id] = coeff * inv
+            index, inv, factors = records[pivot]
+            coeff = combo[index] = coeff * inv
             for earlier, factor in factors.items():
                 cur = pending.get(earlier)
                 if cur is None:
@@ -287,7 +294,7 @@ class _Echelon:
                     heapq.heappush(heap, (-records[earlier][0], earlier))
                 else:
                     pending[earlier] = cur - coeff * factor
-        return combo, None
+        return [(self.columns[index], combo[index]) for index in sorted(combo)], None
 
 
 def _dwords_of_grade(n: int, grade: int):
@@ -321,7 +328,7 @@ class Ideal:
         self._generators = {}  # (i, j) -> generators_for(i, j)
         self._nonzero = None
         self._leads = None
-        self._systems = {}  # (grade, top) -> (echelon, columns)
+        self._systems = {}  # (grade, top) -> _Echelon
         self._keys = {}  # interned vector keys, see _vectorize
         # The oracle's plan, from one walk over the map.  Degrees {1}: every
         # coefficient push preserves word degree, so the tensor algebra is
@@ -337,12 +344,6 @@ class Ideal:
         self._slack = max(degrees, default=0)
 
     # -- generators ----------------------------------------------------------
-
-    def generator_element(self, family, i, j, k=None) -> TensorElement:
-        gen = self.generators_for(i, j).get((family, k))
-        if gen is None:
-            raise ValueError(f"no generator {label(family, i, j, k)}")
-        return gen.element
 
     def generators_for(self, i, j) -> dict:
         """All generators attached to the index pair (i, j), zeros included,
@@ -412,14 +413,12 @@ class Ideal:
                 return Verdict("bound_exceeded", detail=(
                     f"spanning set for grade {grade}, {axis} {top} exceeds the "
                     f"size cap {self.bounds.size_cap}"))
-            echelon, columns = system
-            combo, remainder = echelon.express(components[(grade, top)])
+            combo, remainder = system.express(components[(grade, top)])
             if combo is None:
                 rest.update(remainder)
                 details.append(f"irreducible remainder at grade {grade}, {axis} {top}")
             else:
-                witness.extend(replace(columns[col_id], coeff=coeff)
-                               for col_id, coeff in sorted(combo.items()))
+                witness.extend(replace(column, coeff=coeff) for column, coeff in combo)
         if rest:
             return Verdict("not_member_at_bound", residual=_devectorize(rest, self.n),
                            detail="; ".join(details))
@@ -443,8 +442,7 @@ class Ideal:
         for gen, inv in self._leads.get(lead, ()):
             factor = vec[lead] * inv
             if gen.element.scale(factor) == e:
-                return WitnessTerm((), (), gen.family, gen.i, gen.j, gen.k,
-                                   (), (), factor)
+                return WitnessTerm((), (), gen, (), (), factor)
         return None
 
     def _system(self, grade, top):
@@ -453,20 +451,20 @@ class Ideal:
         One generator-major walk: for each generator, each placement of
         left and right letters around it, and each (left, right) word pair
         of :meth:`_word_lengths`.  Every column goes to
-        :meth:`_Echelon.insert`, which rejects a zero or dependent one, so
-        ``columns`` holds exactly the independent columns, one per echelon
-        row, in walk order.  Every left factor of one generator multiplies
-        the same products generator * right: each is built once, in a dict
-        local to that generator's loop, and dropped when the walk moves on;
-        holding them for the whole system would keep them alive for no
-        further reuse.
+        :meth:`_Echelon.insert` as a unit-coefficient :class:`WitnessTerm`;
+        it rejects a zero or dependent one, so the echelon's ``columns``
+        holds exactly the independent columns, one per row, in walk order.
+        Every left factor of one generator multiplies the same products
+        generator * right: each is built once, in a dict local to that
+        generator's loop, and dropped when the walk moves on; holding them
+        for the whole system would keep them alive for no further reuse.
 
         A system of more than ``Bounds.size_cap`` columns is refused
         (None).  Its count stops once it passes the cap, and it is 0
-        without placements, whatever the word bound.
+        without placements, whatever the word bound.  The echelon is cached
+        only once the walk is done, so a walk that raises caches nothing.
         """
-        key = (grade, top)
-        cached = self._systems.get(key)
+        cached = self._systems.get((grade, top))
         if cached is not None:
             return cached
         n, bmap = self.n, self.calc.bmap
@@ -483,7 +481,6 @@ class Ideal:
             words += itertools.product(_words_of_length(n, l1), _words_of_length(n, l2))
 
         echelon = _Echelon()
-        columns = []  # column id -> unit-coefficient WitnessTerm
         for gen, gen_placements in placements:
             gen_rights = {}  # (right letters, right word) -> gen * right
             for left_d, right_d in gen_placements:
@@ -495,11 +492,10 @@ class Ideal:
                         gen_right = gen_rights[(right_d, right_w)] = tensor_mul(
                             bmap, gen.element, right)
                     product = self._left_times(left_d, left_w, gen_right)
-                    if echelon.insert(_vectorize(product, self._keys), len(columns)):
-                        columns.append(WitnessTerm(left_d, left_w, gen.family, gen.i,
-                                                   gen.j, gen.k, right_d, right_w, ONE))
-        self._systems[key] = (echelon, columns)
-        return self._systems[key]
+                    echelon.insert(_vectorize(product, self._keys),
+                                   WitnessTerm(left_d, left_w, gen, right_d, right_w, ONE))
+        self._systems[grade, top] = echelon
+        return echelon
 
     def _word_lengths(self, top):
         """Lazy (left, right) word lengths of the columns of a system.
@@ -549,18 +545,14 @@ class Ideal:
             e = TensorElement._new(n, {left_dword + w: c for w, c in e.terms.items()})
         return e
 
-    def _product(self, term) -> TensorElement:
-        """left * generator * right of a witness term, without its coefficient."""
-        n = self.n
-        right = TensorElement.monomial(n, term.right_dword,
-                                       AlgebraElement.monomial(n, term.right_word))
-        gen = self.generator_element(term.family, term.i, term.j, term.k)
-        return self._left_times(term.left_dword, term.left_word,
-                                tensor_mul(self.calc.bmap, gen, right))
-
     def expand_witness(self, witness) -> TensorElement:
         """Re-expand a membership witness; must reproduce the query exactly."""
-        out = TensorElement.zero(self.n)
+        n = self.n
+        out = TensorElement.zero(n)
         for term in witness:
-            out = out + self._product(term).scale(term.coeff)
+            right = TensorElement.monomial(n, term.right_dword,
+                                           AlgebraElement.monomial(n, term.right_word))
+            product = tensor_mul(self.calc.bmap, term.generator.element, right)
+            out = out + self._left_times(term.left_dword, term.left_word,
+                                         product).scale(term.coeff)
         return out

@@ -82,8 +82,9 @@ def test_criterion_3_generator_differential_identities():
             calc = ideal.calc
             for i in range(1, N + 1):
                 for j in range(1, N + 1):
+                    gens = ideal.generators_for(i, j)
                     for k in range(1, N + 1):
-                        gen = ideal.generator_element("entry_d3", i, j, k)
+                        gen = gens["entry_d3", k].element
                         expected = TensorElement.zero(N)
                         for l, dl in enumerate(
                                 calc.gradient(calc.bmap.entry(i, j, k)), start=1):
@@ -91,10 +92,10 @@ def test_criterion_3_generator_differential_identities():
                             expected = expected + TensorElement(
                                 N, {((1, l),) + w: c for w, c in d3.terms.items()})
                         assert d(calc, gen) == expected
-                    gen = ideal.generator_element("d2x_d2x", i, j)
+                    gen = gens["d2x_d2x", None].element
                     expected = TensorElement.zero(N)
                     for k in range(1, N + 1):
-                        t = ideal.generator_element("entry_d3", i, j, k)
+                        t = gens["entry_d3", k].element
                         expected = expected - TensorElement(
                             N, {((2, k),) + w: c for w, c in t.terms.items()})
                     assert d(calc, gen) == expected

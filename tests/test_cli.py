@@ -365,6 +365,8 @@ def test_zero_denominator_exit_code(capsys, argv):
     {"n": 65},
     {"reduce_order": "desc"},
     {"bounds": {"max_steps": 10}},
+    {"preset": []},
+    {"preset": {}},
 ])
 def test_config_validation_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "session.json"

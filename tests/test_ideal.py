@@ -12,7 +12,7 @@ from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d, d_power
 from dcubed import ideal as ideal_module
-from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, _Echelon
+from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, WitnessTerm, _Echelon
 from dcubed.parsing import parse_expression
 
 from conftest import (
@@ -38,17 +38,17 @@ def mono(n, dword, coeff=None):
 def test_commutative_dx_dx_generator(commutative_ideal):
     # entries are delta^j_k x^i, so d(e_k) = delta^j_k dx^i, d^2(e_k) =
     # delta^j_k d^2x^i and d^3(e_k) = 0; each family is expanded by hand
-    gen = commutative_ideal.generator_element
-    assert gen("dx_dx", 1, 2) == \
+    gens = commutative_ideal.generators_for(1, 2)
+    assert gens["dx_dx", None].element == \
         mono(2, ((1, 1), (1, 2))) - mono(2, ((1, 2), (1, 1))).scale(Q)
-    assert gen("dx_d2x", 1, 2) == \
+    assert gens["dx_d2x", None].element == \
         mono(2, ((1, 1), (2, 2))) - mono(2, ((2, 2), (1, 1))).scale(q_power(2))
-    assert gen("d2x_dx", 1, 2) == mono(2, ((2, 1), (1, 2))) \
+    assert gens["d2x_dx", None].element == mono(2, ((2, 1), (1, 2))) \
         + mono(2, ((2, 2), (1, 1))).scale(ONE - Q) \
         - mono(2, ((1, 2), (2, 1))).scale(q_power(2))
     for k in (1, 2):
-        assert gen("entry_d3", 1, 2, k).is_zero
-    assert gen("d2x_d2x", 1, 2) == \
+        assert gens["entry_d3", k].element.is_zero
+    assert gens["d2x_d2x", None].element == \
         mono(2, ((2, 1), (2, 2))) - mono(2, ((2, 2), (2, 1))).scale(Q)
 
 
@@ -60,27 +60,21 @@ def test_quadratic_entry_d3_generator():
     s = AlgebraElement.one(2) + x(2, 1) + x(2, 1, 1)
     expected = mono(2, ((1, 1), (2, 1)), s).scale(q_power(2)) \
         - mono(2, ((2, 1), (1, 1)), s) + mono(2, ((1, 1), (1, 1), (1, 1)), s)
-    assert ideal.generator_element("entry_d3", 1, 1, 1) == expected
-    assert ideal.generator_element("entry_d3", 1, 1, 2).is_zero
-
-
-def test_generator_element_validation(commutative_ideal):
-    with pytest.raises(ValueError):
-        commutative_ideal.generator_element("dx_dy", 1, 2)
-    for k in (None, 0, 3):
-        with pytest.raises(ValueError):
-            commutative_ideal.generator_element("entry_d3", 1, 2, k)
+    gens = ideal.generators_for(1, 1)
+    assert gens["entry_d3", 1].element == expected
+    assert gens["entry_d3", 2].element.is_zero
 
 
 def test_constant_preset_degenerate_families():
     ideal = Ideal(Calculus(preset_map("constant", 2)))
     for i in (1, 2):
         for j in (1, 2):
+            gens = ideal.generators_for(i, j)
             for k in (1, 2):
-                assert ideal.generator_element("entry_d3", i, j, k).is_zero
+                assert gens["entry_d3", k].element.is_zero
             # scalar entries make every derivative vanish: pure patterns remain
-            assert ideal.generator_element("dx_dx", i, j) == mono(2, ((1, i), (1, j)))
-            assert ideal.generator_element("d2x_d2x", i, j) == mono(2, ((2, i), (2, j)))
+            assert gens["dx_dx", None].element == mono(2, ((1, i), (1, j)))
+            assert gens["d2x_d2x", None].element == mono(2, ((2, i), (2, j)))
 
 
 def test_generator_grades(preset_ideal):
@@ -99,17 +93,17 @@ def test_raw_differentials_of_generators(preset_ideal):
     calc = ideal.calc
     for i in (1, 2):
         for j in (1, 2):
-            g_dx_dx = ideal.generator_element("dx_dx", i, j)
-            g_dx_d2x = ideal.generator_element("dx_d2x", i, j)
-            g_d2x_dx = ideal.generator_element("d2x_dx", i, j)
-            g_d2x_d2x = ideal.generator_element("d2x_d2x", i, j)
+            gens = ideal.generators_for(i, j)
+            g_dx_dx = gens["dx_dx", None].element
+            g_dx_d2x = gens["dx_d2x", None].element
+            g_d2x_dx = gens["d2x_dx", None].element
+            g_d2x_d2x = gens["d2x_d2x", None].element
             assert d(calc, g_dx_dx) == g_d2x_dx + g_dx_d2x.scale(Q)
             assert d(calc, g_dx_d2x) == g_d2x_d2x
             correction = TensorElement.zero(2)
             for k in (1, 2):
                 correction = correction + tensor_mul(
-                    calc.bmap, mono(2, ((1, k),)),
-                    ideal.generator_element("entry_d3", i, j, k))
+                    calc.bmap, mono(2, ((1, k),)), gens["entry_d3", k].element)
             assert d(calc, g_d2x_dx) == g_d2x_d2x.scale(q_power(2)) - correction
 
 
@@ -122,12 +116,28 @@ def test_single_generator_is_member(preset_ideal):
         assert term.coeff == ONE
         assert term.left_dword == () and term.right_dword == ()
         assert term.left_word == () and term.right_word == ()
-        assert (term.family, term.i, term.j, term.k) == \
-            (gen.family, gen.i, gen.j, gen.k)
+        assert term.generator is gen
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "quadratic"])
+def test_witness_terms_hold_the_ideals_generators(name):
+    # a generator takes the fast path and builds no system; dx1 * generator
+    # is eliminated against one
+    bmap = quadratic_map() if name == "quadratic" else preset_map(name, 2)
+    ideal = Ideal(Calculus(bmap), Bounds(word_bound=1))
+    gen = ideal.generators_for(1, 2)["dx_dx", None]
+    fast = ideal.membership(gen.element.scale(Q))
+    assert fast.witness == [WitnessTerm((), (), gen, (), (), Q)] and not ideal._systems
+    query = tensor_mul(bmap, mono(2, ((1, 1),)), gen.element)
+    eliminated = ideal.membership(query)
+    assert ideal._systems and ideal.expand_witness(eliminated.witness) == query
+    for term in fast.witness + eliminated.witness:
+        own = term.generator
+        assert own is ideal.generators_for(own.i, own.j)[own.family, own.k]
 
 
 def test_left_multiple_stays_in_ideal(commutative_ideal):
-    gen = commutative_ideal.generator_element("dx_dx", 1, 2)
+    gen = commutative_ideal.generators_for(1, 2)["dx_dx", None].element
     shifted = tensor_mul(commutative_ideal.calc.bmap, mono(2, ((1, 1),)), gen)
     verdict = commutative_ideal.membership(shifted)
     assert verdict.is_member
@@ -135,7 +145,7 @@ def test_left_multiple_stays_in_ideal(commutative_ideal):
 
 
 def test_word_multiple_stays_in_ideal(preset_ideal):
-    gen = preset_ideal.generator_element("dx_dx", 1, 1)
+    gen = preset_ideal.generators_for(1, 1)["dx_dx", None].element
     u = TensorElement.of_algebra(x(2, 2))
     shifted = tensor_mul(preset_ideal.calc.bmap, u, gen)
     if shifted.is_zero:
@@ -169,7 +179,7 @@ def test_non_members(commutative_ideal):
 
 def test_residual_is_exact(commutative_ideal):
     # member part gets absorbed, the alien letter survives verbatim
-    gen = commutative_ideal.generator_element("dx_dx", 1, 2)
+    gen = commutative_ideal.generators_for(1, 2)["dx_dx", None].element
     e = gen + mono(2, ((2, 1),))
     verdict = commutative_ideal.membership(e)
     assert verdict.status == "not_member_at_bound"
@@ -199,7 +209,7 @@ def test_membership_vectorizes_the_query_once(name, monkeypatch):
 
 def test_size_cap_reports_bound_exceeded():
     ideal = Ideal(Calculus(preset_map("commutative", 2)), Bounds(size_cap=1))
-    gen = ideal.generator_element("dx_dx", 1, 2)
+    gen = ideal.generators_for(1, 2)["dx_dx", None].element
     shifted = tensor_mul(ideal.calc.bmap, mono(2, ((1, 1),)), gen)
     verdict = ideal.membership(shifted)
     assert verdict.status == "bound_exceeded"
@@ -224,7 +234,7 @@ def test_size_cap_boundary(name, columns):
         bmap = preset_map(name, 2)
     word_bound = 1 if name == "quadratic" else None
     calc = Calculus(bmap)
-    gen = Ideal(calc).generator_element("dx_dx", 1, 2)
+    gen = Ideal(calc).generators_for(1, 2)["dx_dx", None].element
     query = tensor_mul(bmap, tensor_mul(bmap, mono(2, ((1, 1),)), gen),
                        TensorElement.of_algebra(x(2, 1)))
     for cap, status in ((columns, "member"), (columns - 1, "bound_exceeded")):
@@ -235,7 +245,7 @@ def test_size_cap_boundary(name, columns):
 def test_membership_word_bound_limits():
     # only the bounded path reads the word bound
     calc = Calculus(quadratic_map())
-    gen = Ideal(calc).generator_element("dx_dx", 1, 1)
+    gen = Ideal(calc).generators_for(1, 1)["dx_dx", None].element
     deep = tensor_mul(calc.bmap, TensorElement.of_algebra(x(2, 1, 2)), gen)
     assert Ideal(calc, Bounds(word_bound=0)).membership(deep).status \
         == "not_member_at_bound"
@@ -283,7 +293,7 @@ def test_nonlinear_map_uses_bounded_path():
     zero = [[[AlgebraElement.zero(2)] * 2] * 2] * 2
     for gen in (mixed, zero):
         assert not Ideal(Calculus(BimoduleMap(2, gen)))._graded
-    gen = ideal.generator_element("dx_dx", 1, 2)
+    gen = ideal.generators_for(1, 2)["dx_dx", None].element
     image = d(ideal.calc, gen)
     verdict = ideal.membership(image)
     assert verdict.is_member
@@ -334,15 +344,17 @@ def test_column_products_match_tensor_mul(name, n, grade, wdeg, word_bound):
         bmap = preset_map(name, n)
     ideal = Ideal(Calculus(bmap))
     assert ideal._graded == (wdeg is not None)
-    echelon, columns = ideal._system(grade, wdeg if ideal._graded else word_bound)
-    assert len(columns) == len(echelon.rows) > 0
-    for term in columns:
+    echelon = ideal._system(grade, wdeg if ideal._graded else word_bound)
+    assert len(echelon.columns) == len(echelon.rows) > 0
+    for term in echelon.columns:
+        assert term.coeff == ONE
         left = TensorElement.monomial(n, term.left_dword,
                                       AlgebraElement.monomial(n, term.left_word))
         right = TensorElement.monomial(n, term.right_dword,
                                        AlgebraElement.monomial(n, term.right_word))
-        gen = ideal.generator_element(term.family, term.i, term.j, term.k)
-        assert ideal._product(term) == tensor_mul(bmap, left, tensor_mul(bmap, gen, right))
+        gen = term.generator.element
+        assert ideal.expand_witness([term]) == \
+            tensor_mul(bmap, left, tensor_mul(bmap, gen, right))
 
 
 def combine(coeffs, vectors):
@@ -375,18 +387,21 @@ def test_echelon_expresses_columns_by_back_substitution(seed):
     echelon = _Echelon()
     accepted = [i for i, vec in enumerate(vectors) if echelon.insert(vec, i)]
     assert len(echelon.rows) == len(echelon.records) == len(accepted) <= 5
+    assert echelon.columns == accepted
     for i, vec in enumerate(vectors):
         combo, rest = echelon.express(vec)
         assert rest is None
+        # the columns of a combination come back in insertion order
+        assert [col for col, _ in combo] == sorted(col for col, _ in combo)
         if i in accepted:
-            assert combo == {i: ONE}
+            assert dict(combo) == {i: ONE}
         else:
-            assert all(col in accepted and col < i for col in combo)
-            assert all(combo.values())
-            assert combine(combo, vectors) == vec
+            assert all(col in accepted and col < i for col, _ in combo)
+            assert all(coeff for _, coeff in combo)
+            assert combine(dict(combo), vectors) == vec
     for row in echelon.rows.values():  # reaches rows its own reduction skips
         combo, _ = echelon.express(row)
-        assert combine(combo, vectors) == row
+        assert combine(dict(combo), vectors) == row
     free = [k for k in keys if k not in echelon.rows]
     assert free
     # a member plus a term on a non-pivot key: the normal form is that term

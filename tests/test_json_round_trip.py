@@ -50,10 +50,10 @@ def tensor_from_obj(obj):
     return out
 
 
-def witness_from_obj(obj):
-    """Inverse of ``WitnessTerm.to_dict`` over a whole witness."""
+def witness_from_obj(obj, ideal):
+    """Inverse of ``WitnessTerm.to_dict`` over a whole witness of ideal."""
     return [WitnessTerm(tuple(map(tuple, t["left"]["letters"])), tuple(t["left"]["word"]),
-                        t["family"], t["i"], t["j"], t.get("k"),
+                        ideal.generators_for(t["i"], t["j"])[t["family"], t.get("k")],
                         tuple(map(tuple, t["right"]["letters"])), tuple(t["right"]["word"]),
                         parse_algebra(t["coefficient"], N).constant_value())
             for t in obj]
@@ -76,7 +76,7 @@ def test_member_json_witness_re_expands(name, terms):
     query = combination(ideal, terms)
     code, obj = cli_json(name, "member", expr=format_tensor(query))
     assert (code, obj["status"]) == (0, "member")
-    assert ideal.expand_witness(witness_from_obj(obj["witness"])) == query
+    assert ideal.expand_witness(witness_from_obj(obj["witness"], ideal)) == query
 
 
 @examples

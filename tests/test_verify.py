@@ -67,7 +67,7 @@ def test_q_leibniz_nonscalar_left_factor_is_congruence(commutative_ideal):
     assert inst.tier == "ideal" and inst.verdict == "pass"
     assert len(inst.witness) == 1
     w = inst.witness[0]
-    assert w.family == "dx_dx" and (w.i, w.j) == (1, 1)
+    assert w.generator is commutative_ideal.generators_for(1, 1)["dx_dx", None]
 
 
 def test_q_leibniz_grade3_left_factor(commutative_ideal):
@@ -110,8 +110,8 @@ def test_congruences_generators_give_generator_witnesses(preset_ideal):
                 assert inst.verdict == "pass"
                 if inst.witness:  # zero residuals pass raw with empty witness
                     assert len(inst.witness) == 1
-                    assert inst.witness[0].family == family
-                    assert (inst.witness[0].i, inst.witness[0].j) == (i, j)
+                    gen = inst.witness[0].generator
+                    assert (gen.family, gen.i, gen.j) == (family, i, j)
 
 
 def test_congruences_on_length_two_word(commutative_ideal):
