@@ -33,10 +33,13 @@ re-expands to the query exactly.
 Which products span a system depends on the map alone, so :class:`Ideal`
 plans it once (see ``Ideal.__init__``).  When every term of every map
 entry has word degree 0, or every one has degree 1, the ideal is graded by
-(grade, word degree), and each bidegree is spanned exactly (see
-:meth:`Ideal._word_lengths`).  Other maps take the bounded path: they
-sweep every word degree up to ``Bounds.word_bound``, so there
-``not_member_at_bound`` holds relative to it.
+(grade, word degree), and each bidegree is spanned exactly.  On a
+right-only map (degree 0, or degree 1 and scalar-diagonal: every preset)
+a bidegree (g, w) is n^w copies of the letter system (g, 0), one per
+right word, so each right word of a query reduces against the one letter
+system of its grade (see :meth:`Ideal.membership`).  Other maps take the
+bounded path: they sweep every word degree up to ``Bounds.word_bound``,
+so there ``not_member_at_bound`` holds relative to it.
 
 The residual of a verdict is the normal form of the query: what is left
 after reducing every component against its echelon basis, which is the
@@ -263,8 +266,9 @@ class _Echelon:
         return True
 
     def express(self, vec):
-        """``([(column, coeff), ...], None)`` with the columns in insertion
-        order and their vectors summing to vec, or ``(None, remainder)``.
+        """``([(index, coeff), ...], None)``, indices into ``columns`` in
+        insertion order and the columns' vectors summing to vec, or
+        ``(None, remainder)``.
 
         Reducing vec leaves ``pending``: its coefficient on each row.  The
         row with the latest column is that column's vector over its lead,
@@ -294,7 +298,33 @@ class _Echelon:
                     heapq.heappush(heap, (-records[earlier][0], earlier))
                 else:
                     pending[earlier] = cur - coeff * factor
-        return [(self.columns[index], combo[index]) for index in sorted(combo)], None
+        return [(index, combo[index]) for index in sorted(combo)], None
+
+
+_EMPTY_WORD = word_key(())
+
+
+def _express_by_words(system, blocks):
+    """Express the blocks {word key: letters-only vector} of one bidegree
+    of a right-only map against its letter system (see
+    :meth:`Ideal.membership`).
+
+    Returns ``(witness terms, None)``, ordered by (column index, word), or
+    ``(None, remainder)`` with each failed block's word restored.
+    """
+    terms, rest = [], {}
+    for wkey, block in blocks.items():
+        combo, remainder = system.express(block)
+        if combo is not None:
+            terms.extend((index, wkey[1], coeff) for index, coeff in combo)
+        else:
+            rest.update(((dkey, wkey), coeff) for (dkey, _), coeff in remainder.items())
+    if rest:
+        return None, rest
+    terms.sort(key=lambda term: term[:2])
+    columns = system.columns
+    return [replace(columns[index], right_word=word, coeff=coeff)
+            for index, word, coeff in terms], None
 
 
 def _dwords_of_grade(n: int, grade: int):
@@ -382,6 +412,31 @@ class Ideal:
         word degree, so one pass over the keys splits e into the systems
         it meets: one per bidegree (grade, word degree) on the graded
         path, one per grade at the word bound on the bounded path.
+
+        On a right-only map (degree 0, or degree 1 and scalar-diagonal)
+        a bidegree (g, w) splits further by coefficient word, and each
+        block reduces against the one letter system (g, 0).  Degree 0:
+        scalar entries have zero derivatives, so every generator is a bare
+        two-letter dword (entry_d3 vanishes) and a left word crosses
+        letters as scalars.  Degree 1, scalar-diagonal (every m(x^i) is p_i
+        times the identity): let phi be the endomorphism x^i -> p_i; then
+        m(u) = phi(u) I, so u * d^a x^j = d^a x^j * phi(u).  Entries of
+        degree 1 have scalar derivatives, so again every generator is a
+        two-letter dword with scalar coefficients, and a left word w
+        crosses it and the right letters R_d whole:
+
+            L_d w g R_d v  =  L_d g R_d phi^k(w) v,      k = 2 + |R_d|.
+
+        So the products L_d g R_d v, v a word of length w, span (g, w), and
+        each is the letters-only column L_d g R_d with v on its right.
+        Columns of different words share no key: (g, w) is n^w copies of
+        (g, 0), one per word.  A block keyed to the empty word is expressed
+        against (g, 0), its witness terms take v as their right word, and
+        sorting them by (column index, v) is the insertion order of the
+        (g, w) system, so the witness is that system's.  A remainder block
+        gets v back.  The bounded path keeps its left words: a
+        scalar-diagonal map of degree 2 has generators with polynomial
+        coefficients, which a left word does not cross whole.
         """
         if e.n != self.n:
             raise ValueError(f"element has {e.n} generators, ideal has {self.n}")
@@ -393,32 +448,46 @@ class Ideal:
         if direct is not None:
             return Verdict("member", witness=[direct])
 
-        top = None
+        top, letters = None, self._right_only
         if not self._graded:
             top = self.bounds.word_bound
             if top is None:
                 top = max(wkey[0] for _, wkey in vec) + self._slack
         axis = "word degree" if top is None else "word bound"
         components = {}  # (grade, top) -> the part of vec in that system
-        for key, coeff in vec.items():
-            dkey, wkey = key
-            components.setdefault((dkey[0], wkey[0] if top is None else top), {})[key] = coeff
+        if letters:  # the part is {word key: its block, keyed to the empty word}
+            blocks = {}
+            for (dkey, wkey), coeff in vec.items():
+                blocks.setdefault((dkey[0], wkey), {})[dkey, _EMPTY_WORD] = coeff
+            for (grade, wkey), block in blocks.items():
+                components.setdefault((grade, wkey[0]), {})[wkey] = block
+        else:
+            for key, coeff in vec.items():
+                dkey, wkey = key
+                components.setdefault((dkey[0], wkey[0] if top is None else top), {})[key] = coeff
 
         # One loop for every component: below grade 2 the system is empty,
         # so the whole component is its remainder.
         witness, rest, details = [], {}, []
         for grade, top in sorted(components):
-            system = self._system(grade, top)
+            system = self._system(grade, 0 if letters else top)
             if system is None:
                 return Verdict("bound_exceeded", detail=(
                     f"spanning set for grade {grade}, {axis} {top} exceeds the "
                     f"size cap {self.bounds.size_cap}"))
-            combo, remainder = system.express(components[(grade, top)])
-            if combo is None:
+            part = components[grade, top]
+            if letters:
+                terms, remainder = _express_by_words(system, part)
+            else:
+                terms, remainder = system.express(part)
+                if terms is not None:
+                    columns = system.columns
+                    terms = [replace(columns[index], coeff=coeff) for index, coeff in terms]
+            if terms is None:
                 rest.update(remainder)
                 details.append(f"irreducible remainder at grade {grade}, {axis} {top}")
             else:
-                witness.extend(replace(column, coeff=coeff) for column, coeff in combo)
+                witness.extend(terms)
         if rest:
             return Verdict("not_member_at_bound", residual=_devectorize(rest, self.n),
                            detail="; ".join(details))
@@ -501,32 +570,10 @@ class Ideal:
         """Lazy (left, right) word lengths of the columns of a system.
 
         Bounded path: every split of every total up to the word bound top.
-        Degree 1: every split of the word degree top; a left word can add
-        rank there, unless the map is scalar-diagonal (below).
-        Degree 0: only (0, top).  Scalar entries have zero derivatives, so
-        every generator is a bare two-letter dword (entry_d3 vanishes) and
-        a left word crosses letters as scalars.  I_q is then the span of
-        all dwords of at least two letters, and the columns with an empty
-        left word span each of its bidegrees.
-
-        Degree 1 with a scalar-diagonal map (every m(x^i) is p_i times the
-        identity): only (0, top) too.  Let phi be the endomorphism
-        x^i -> p_i; then m(u) = phi(u) I, so u * d^a x^j = d^a x^j * phi(u).
-        Entries of degree 1 have scalar derivatives, so every generator is
-        a two-letter dword with scalar coefficients, and a left word w
-        crosses it and the right letters R_d whole:
-
-            L_d w g R_d v  =  L_d g R_d phi^k(w) v,      k = 2 + |R_d|.
-
-        That is a combination of columns of the same placement with an
-        empty left word, which the walk of :meth:`_system` reaches first,
-        so no column with a left word is ever independent.  The bounded
-        path keeps its left words: a scalar-diagonal map of degree 2 has
-        generators with polynomial coefficients, which a left word does not
-        cross whole.
+        Graded path: every split of the word degree top; a left word can
+        add rank on a degree-1 map.  A right-only map only ever builds
+        word degree 0 (see :meth:`membership`), so only (0, 0).
         """
-        if self._right_only:
-            return ((0, top),)
         totals = (top,) if self._graded else range(top + 1)
         return ((l1, total - l1) for total in totals for l1 in range(total + 1))
 

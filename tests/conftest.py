@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.parsing import parse_algebra
-from dcubed.tensoralg import TensorElement
+from dcubed.tensoralg import TensorElement, tensor_mul
 
 PRESET_NAMES = ("commutative", "scalar-twist", "constant")
 
@@ -100,6 +101,10 @@ NON_DIAGONAL_MAPS = {
 # a degree-1 map (as config xi_entries) on which left words add rank at (3, 1)
 DEGREE_ONE = [[["(-1-q) x1 + x2", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]
 
+# a scalar-diagonal degree-1 map whose p_1 = x1 + x2 recombines words as it
+# crosses a letter, instead of rescaling them
+SCALAR_DIAGONAL = [[["x1 + x2", "0"], ["0", "x1 + x2"]], [["q x1", "0"], ["0", "q x1"]]]
+
 
 def quadratic_map():
     # entries delta^j_k x^i x^i: degree 2, so the bigraded fast path is off
@@ -109,3 +114,26 @@ def quadratic_map():
         gen.append([[sq if k == j else AlgebraElement.zero(2)
                      for j in range(2)] for k in range(2)])
     return BimoduleMap(2, gen)
+
+
+def monomials(n, grade, length):
+    """Every monomial letters * word of the given grade and word length."""
+    letters = [(a, i) for a in (1, 2) for i in range(1, n + 1)]
+    return [TensorElement.monomial(n, dword, AlgebraElement.monomial(n, word))
+            for size in range(grade + 1)
+            for dword in itertools.product(letters, repeat=size)
+            if sum(a for a, _ in dword) == grade
+            for word in itertools.product(range(1, n + 1), repeat=length)]
+
+
+def products(ideal, grade, totals, left_words=True):
+    """L * g * R of the given grade, |L's word| + |R's word| in totals."""
+    n, bmap = ideal.n, ideal.calc.bmap
+    for gen in ideal.all_generators():
+        for g1 in range(grade - gen.grade + 1):
+            for total in totals:
+                for l1 in range(total + 1 if left_words else 1):
+                    for left in monomials(n, g1, l1):
+                        for right in monomials(n, grade - gen.grade - g1, total - l1):
+                            yield tensor_mul(bmap, tensor_mul(bmap, left, gen.element),
+                                             right)

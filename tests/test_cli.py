@@ -118,6 +118,22 @@ def test_member_inconclusive_with_tiny_cap(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("length", [6, 8])
+def test_deep_right_word_is_a_member_at_once(capsys, length):
+    # d2x1 * dx_dx(1,2) * u: on a right-only map the word u reduces against
+    # the letter system (4, 0); the whole (4, |u|) system passes the size cap
+    word = [1 + i % 3 for i in range(length)]
+    u = " ".join(f"x{i}" for i in word)
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "member", "--preset", "commutative", "-n", "3",
+                       f"d2x1 dx1 dx2 {u} - q d2x1 dx2 dx1 {u}")
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert out.splitlines() == [
+        "status: member", "witness:",
+        "  (1) * [d2x1] dx_dx(1,2) [" + "*".join(f"x{i}" for i in word) + "]"]
+
+
 def test_reduce_commutative(capsys):
     # a member at n = 2, witnessed by dx_dx(1,2) and dx_dx(2,1) together
     code, out, _ = run(capsys, "reduce", "dx1 (*) dx2", "--preset", "commutative")

@@ -1,12 +1,13 @@
 """Property tests of the membership oracle on the three presets at n = 2,
-and on the bounded path of the quadratic map.
+on a scalar-diagonal map, and on the bounded path of the quadratic map.
 
 Each :class:`Ideal` is built once for the module, so the systems one
 example builds are reused by the next.  Queries stay at grade <= 4 and
 word degree <= 2, where a system has at most a few hundred columns.
 
 The residual of a verdict is the normal form modulo the ideal: zero for
-members, idempotent, congruent to the query, and the same on a coset.
+members, idempotent, congruent to the query, the same on a coset, and the
+same whatever set spans the ideal's bidegrees.
 """
 
 import pytest
@@ -18,12 +19,16 @@ from hypothesis import given, settings, strategies as st
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
+from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, tensor_mul
 from dcubed.differential import d_power
-from dcubed.ideal import Bounds, Ideal
+from dcubed.ideal import Bounds, Ideal, _Echelon, _devectorize, _vectorize
 from dcubed.verify import check_q_leibniz
 
-from conftest import PRESET_NAMES, SMALL_SCALARS, normal_form, quadratic_map
+from conftest import (
+    PRESET_NAMES, SCALAR_DIAGONAL, SMALL_SCALARS, normal_form, quadratic_map,
+    products as all_products,
+)
 
 N = 2
 IDEALS = {name: Ideal(Calculus(preset_map(name, N))) for name in PRESET_NAMES}
@@ -39,11 +44,13 @@ products = st.tuples(st.sampled_from(SMALL_SCALARS), sides,
                      st.integers(0, 10 ** 6), words)
 
 
-def elements(size):
-    """Sums of c * letters * word, with at most `size` dx or d2x letters."""
+def elements(size, word_len=1):
+    """Sums of c * letters * word, with at most `size` dx or d2x letters
+    and words of at most `word_len` letters."""
     letters = st.lists(st.tuples(st.integers(1, 2), st.integers(1, N)),
                        max_size=size).map(tuple)
-    return st.lists(st.tuples(st.sampled_from(SMALL_SCALARS), letters, words),
+    word = st.lists(st.integers(1, N), max_size=word_len).map(tuple)
+    return st.lists(st.tuples(st.sampled_from(SMALL_SCALARS), letters, word),
                     min_size=1, max_size=3)
 
 
@@ -136,6 +143,49 @@ def test_q_leibniz_holds_modulo_the_ideal(name, c, side, terms):
     theta = element(terms)
     inst = check_q_leibniz(IDEALS[name], omega, theta)
     assert inst.verdict == "pass", inst.to_dict()
+
+
+# Right-only maps reduce each right word of a bidegree against one letter
+# system of word degree 0.  The reference spans each bidegree (grade, w)
+# with every product L * g * R of it, left words included, in one echelon
+# of its own; the normal form does not depend on the spanning set.
+RIGHT_ONLY = {name: IDEALS[name] for name in ("commutative", "scalar-twist")}
+RIGHT_ONLY["scalar-diagonal"] = Ideal(Calculus(build_map(
+    SessionConfig(n=N, xi_entries=SCALAR_DIAGONAL))))
+REFERENCE = {}  # (map name, grade, word degree) -> _Echelon of every product
+
+
+def reference_normal_form(name, e):
+    """The normal form of e against the reference echelons, as a vector."""
+    keys, parts, rest = {}, {}, {}
+    for key, coeff in _vectorize(e, keys).items():
+        (grade, _, _), (wdeg, _) = key
+        parts.setdefault((grade, wdeg), {})[key] = coeff
+    for (grade, wdeg), part in parts.items():
+        echelon = REFERENCE.get((name, grade, wdeg))
+        if echelon is None:
+            echelon = REFERENCE[name, grade, wdeg] = _Echelon()
+            for product in all_products(RIGHT_ONLY[name], grade, (wdeg,)):
+                echelon.insert(_vectorize(product, keys), None)
+        _, remainder = echelon.express(part)
+        rest.update(remainder or {})
+    return rest
+
+
+@examples
+@given(st.sampled_from(sorted(RIGHT_ONLY)),
+       st.one_of(st.just([]), elements(2, word_len=2)),
+       st.lists(products, min_size=1, max_size=2))
+def test_letter_systems_agree_with_every_product(name, terms, member_terms):
+    ideal = RIGHT_ONLY[name]
+    query = element(terms) + combination(ideal, member_terms)
+    verdict = ideal.membership(query)
+    rest = reference_normal_form(name, query)
+    assert verdict.status == ("not_member_at_bound" if rest else "member")
+    if rest:
+        assert verdict.residual == _devectorize(rest, N)
+    else:
+        assert ideal.expand_witness(verdict.witness) == query
 
 
 # The bounded path: the quadratic map at word bound 1, where a system of

@@ -12,16 +12,17 @@ graded map, whose top is a word degree, or word_bound for a map on the
 bounded path, whose top is a word bound.  A bounded system spans every
 product of total word length up to its word bound; the quadratic map is
 the one taking that path here.  An exact system spans the bidegree
-(grade, wdeg) of a graded ideal: the reference takes the products of total word length up to
-wdeg + 1, checks that each is homogeneous, and keeps those of word degree
-wdeg.  That includes products with a nonempty left word.  The oracle
-leaves them out on a degree-0 map and on a scalar-diagonal one (every
-m(x^i) one element times the identity); the scalar-diagonal map below has
-p_1 = x1 + x2, so crossing it recombines words instead of rescaling them.
-On the degree-1 map of ``DEGREE_ONE`` a left word adds rank.
+(grade, wdeg) of a graded ideal: the reference takes the products of total
+word length up to wdeg + 1, checks that each is homogeneous, and keeps
+those of word degree wdeg.  That includes products with a nonempty left
+word.  A right-only map (degree 0, or scalar-diagonal: every m(x^i) one
+element times the identity) builds only the letter system (grade, 0), and
+the bidegree is n^wdeg copies of it, one per right word: its rank is the
+letter system's times n^wdeg, left words and all.  The scalar-diagonal
+map ``SCALAR_DIAGONAL`` has p_1 = x1 + x2, so crossing it recombines words
+instead of rescaling them.  On the degree-1 map of ``DEGREE_ONE`` a left
+word adds rank.
 """
-
-import itertools
 
 import pytest
 
@@ -32,11 +33,10 @@ from sympy.polys.matrices import DomainMatrix
 from dcubed.bimodule import preset_map
 from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
-from dcubed.freealg import AlgebraElement
 from dcubed.ideal import Ideal, _vectorize
-from dcubed.tensoralg import TensorElement, dword_grade, tensor_mul
+from dcubed.tensoralg import dword_grade
 
-from conftest import DEGREE_ONE, quadratic_map
+from conftest import DEGREE_ONE, SCALAR_DIAGONAL, products, quadratic_map
 
 # building the field takes about half a second: once per module
 FIELD = sympy.QQ.algebraic_field(sympy.sqrt(-3))
@@ -50,8 +50,6 @@ CASES += [("quadratic", 2, None, 2), ("quadratic", 3, None, 1)]
 CASES += [("constant", grade, 1, None) for grade in (2, 3)]
 CASES += [("degree-one", 3, 1, None)]
 CASES += [("scalar-diagonal", grade, wdeg, None) for grade, wdeg in ((2, 1), (3, 1), (4, 0))]
-
-SCALAR_DIAGONAL = [[["x1 + x2", "0"], ["0", "x1 + x2"]], [["q x1", "0"], ["0", "q x1"]]]
 
 
 def structure_map(name):
@@ -79,29 +77,6 @@ def rank(products):
     return DomainMatrix(rows, (len(rows), len(keys)), FIELD).rank()
 
 
-def monomials(n, grade, length):
-    """Every monomial letters * word of the given grade and word length."""
-    letters = [(a, i) for a in (1, 2) for i in range(1, n + 1)]
-    return [TensorElement.monomial(n, dword, AlgebraElement.monomial(n, word))
-            for size in range(grade + 1)
-            for dword in itertools.product(letters, repeat=size)
-            if sum(a for a, _ in dword) == grade
-            for word in itertools.product(range(1, n + 1), repeat=length)]
-
-
-def products(ideal, grade, totals, left_words=True):
-    """L * g * R of the given grade, |L's word| + |R's word| in totals."""
-    n, bmap = ideal.n, ideal.calc.bmap
-    for gen in ideal.all_generators():
-        for g1 in range(grade - gen.grade + 1):
-            for total in totals:
-                for l1 in range(total + 1 if left_words else 1):
-                    for left in monomials(n, g1, l1):
-                        for right in monomials(n, grade - gen.grade - g1, total - l1):
-                            yield tensor_mul(bmap, tensor_mul(bmap, left, gen.element),
-                                             right)
-
-
 def bidegrees(e):
     """The (grade, word length) of every term of e, read off the terms."""
     return {(dword_grade(dword), len(word))
@@ -122,12 +97,14 @@ def test_system_rank_matches_sympy(name, grade, wdeg, word_bound):
     ideal = Ideal(Calculus(structure_map(name)))
     assert ideal._graded == (wdeg is not None)
     if wdeg is None:
-        echelon = ideal._system(grade, word_bound)
+        echelon, copies = ideal._system(grade, word_bound), 1
         reference = products(ideal, grade, range(word_bound + 1))
     else:
-        echelon = ideal._system(grade, wdeg)
+        built = 0 if ideal._right_only else wdeg
+        echelon, copies = ideal._system(grade, built), ideal.n ** (wdeg - built)
         reference = bidegree_part(products(ideal, grade, range(wdeg + 2)), grade, wdeg)
-    assert len(echelon.columns) == len(echelon.rows) == rank(reference)
+    assert len(echelon.columns) == len(echelon.rows)
+    assert len(echelon.rows) * copies == rank(reference)
 
 
 def test_left_words_add_rank_on_a_degree_one_map():
