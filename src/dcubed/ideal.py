@@ -74,7 +74,8 @@ class Bounds:
     ``word_bound`` caps the coefficient word degree of a system on the
     bounded path (None derives it per query: the query's word degree plus
     the largest entry degree); maps on the graded path never read it.
-    ``size_cap`` caps the columns of one system.
+    ``size_cap`` caps the columns of one system, counted in closed form
+    before any of them is built (see ``Ideal._system``).
     """
     word_bound: int | None = None
     size_cap: int = 200_000
@@ -327,21 +328,21 @@ def _express_by_words(system, blocks):
             for index, word, coeff in terms], None
 
 
-def _dwords_of_grade(n: int, grade: int):
+def _grade_vectors(grade: int):
+    """The tuples of letter grades (1 or 2) summing to grade, in
+    lexicographic order."""
     if grade == 0:
-        return ((),)
-    out = []
-    for head_grade in (1, 2):
-        if head_grade > grade:
-            break
-        for rest in _dwords_of_grade(n, grade - head_grade):
-            for index in range(1, n + 1):
-                out.append(((head_grade, index),) + rest)
-    return tuple(sorted(out, key=dword_key))
+        yield ()
+    for head in (1, 2)[:grade]:
+        yield from ((head,) + rest for rest in _grade_vectors(grade - head))
 
 
-def _words_of_length(n: int, length: int):
-    return tuple(itertools.product(range(1, n + 1), repeat=length))
+def _dwords_of_grade(n: int, grade: int):
+    """The dwords of one grade, generated in ``dword_key`` order: grade
+    vectors in lexicographic order, then indices through itertools.product."""
+    pools = {a: [(a, i) for i in range(1, n + 1)] for a in (1, 2)}
+    return [dword for vector in _grade_vectors(grade)
+            for dword in itertools.product(*(pools[a] for a in vector))]
 
 
 class Ideal:
@@ -517,65 +518,67 @@ class Ideal:
     def _system(self, grade, top):
         """Echelon basis of the span of the columns keyed (grade, top).
 
-        One generator-major walk: for each generator, each placement of
-        left and right letters around it, and each (left, right) word pair
-        of :meth:`_word_lengths`.  Every column goes to
-        :meth:`_Echelon.insert` as a unit-coefficient :class:`WitnessTerm`;
-        it rejects a zero or dependent one, so the echelon's ``columns``
-        holds exactly the independent columns, one per row, in walk order.
-        Every left factor of one generator multiplies the same products
-        generator * right: each is built once, in a dict local to that
-        generator's loop, and dropped when the walk moves on; holding them
-        for the whole system would keep them alive for no further reuse.
+        Counted first, in closed form.  A dword is a string of letters of
+        grade 1 or 2, so there are c_0 = 1, c_1 = n and c_g = n (c_{g-1} +
+        c_{g-2}) of grade g; a generator of grade h has the sum over g1 of
+        c_{g1} c_{grade-h-g1} placements of left and right letters, each
+        met by every (left, right) word pair: those of total length top on
+        the graded path (a left word can add rank on a degree-1 map; a
+        right-only map only ever builds top 0, see :meth:`membership`), of
+        every total up to the word bound top on the bounded one.  A system
+        of more than ``Bounds.size_cap`` columns is refused (None) before
+        any dword or product is built; it is 0 columns without placements,
+        whatever the word bound.
 
-        A system of more than ``Bounds.size_cap`` columns is refused
-        (None).  Its count stops once it passes the cap, and it is 0
-        without placements, whatever the word bound.  The echelon is cached
-        only once the walk is done, so a walk that raises caches nothing.
+        Then one generator-major walk: for each generator, each placement,
+        and each word pair.  Every column goes to :meth:`_Echelon.insert`
+        as a unit-coefficient :class:`WitnessTerm`; it rejects a zero or
+        dependent one, so the echelon's ``columns`` holds exactly the
+        independent columns, one per row, in walk order.  The dwords of
+        each grade a placement needs are listed once.  Every left factor of
+        one generator multiplies the same products generator * right: each
+        is built once, in a dict local to that generator's loop, and
+        dropped when the walk moves on.  The echelon is cached only once
+        the walk is done, so a walk that raises caches nothing.
         """
         cached = self._systems.get((grade, top))
         if cached is not None:
             return cached
-        n, bmap = self.n, self.calc.bmap
-        placements = [(gen, [(left_d, right_d)
-                             for g1 in range(grade - gen.grade + 1)
-                             for left_d in _dwords_of_grade(n, g1)
-                             for right_d in _dwords_of_grade(n, grade - gen.grade - g1)])
-                      for gen in self.all_generators()]
-        per_pair, count, words = sum(len(p) for _, p in placements), 0, []
-        for l1, l2 in self._word_lengths(top) if per_pair else ():
-            count += per_pair * n ** (l1 + l2)  # per_pair columns per word pair
-            if count > self.bounds.size_cap:
+        n, bmap, cap = self.n, self.calc.bmap, self.bounds.size_cap
+        gens = self.all_generators()
+        rests = [grade - gen.grade for gen in gens]  # grade of the letters around each
+        reach = max(rests, default=-1)
+        counts = [1, n]  # dwords per grade; past the cap, cap + 1 will do
+        while len(counts) <= reach:
+            counts.append(min(n * (counts[-1] + counts[-2]), cap + 1))
+        per_pair = sum(counts[g1] * counts[rest - g1] for rest in rests for g1 in range(rest + 1))
+        count, words, letters = 0, [], range(1, n + 1)
+        for total in ((top,) if self._graded else range(top + 1)) if per_pair else ():
+            count += per_pair * (total + 1) * n ** total  # word pairs of this total
+            if count > cap:
                 return None
-            words += itertools.product(_words_of_length(n, l1), _words_of_length(n, l2))
+            words += (pair for l1 in range(total + 1) for pair in itertools.product(
+                itertools.product(letters, repeat=l1),
+                itertools.product(letters, repeat=total - l1)))
 
+        dwords = [_dwords_of_grade(n, g) for g in range(reach + 1)]
         echelon = _Echelon()
-        for gen, gen_placements in placements:
+        for gen, rest in zip(gens, rests):
             gen_rights = {}  # (right letters, right word) -> gen * right
-            for left_d, right_d in gen_placements:
-                for left_w, right_w in words:
-                    gen_right = gen_rights.get((right_d, right_w))
-                    if gen_right is None:
-                        right = TensorElement.monomial(
-                            n, right_d, AlgebraElement.monomial(n, right_w))
-                        gen_right = gen_rights[(right_d, right_w)] = tensor_mul(
-                            bmap, gen.element, right)
-                    product = self._left_times(left_d, left_w, gen_right)
-                    echelon.insert(_vectorize(product, self._keys),
-                                   WitnessTerm(left_d, left_w, gen, right_d, right_w, ONE))
+            for g1 in range(rest + 1):
+                for left_d, right_d in itertools.product(dwords[g1], dwords[rest - g1]):
+                    for left_w, right_w in words:
+                        gen_right = gen_rights.get((right_d, right_w))
+                        if gen_right is None:
+                            right = TensorElement.monomial(
+                                n, right_d, AlgebraElement.monomial(n, right_w))
+                            gen_right = gen_rights[(right_d, right_w)] = tensor_mul(
+                                bmap, gen.element, right)
+                        product = self._left_times(left_d, left_w, gen_right)
+                        echelon.insert(_vectorize(product, self._keys),
+                                       WitnessTerm(left_d, left_w, gen, right_d, right_w, ONE))
         self._systems[grade, top] = echelon
         return echelon
-
-    def _word_lengths(self, top):
-        """Lazy (left, right) word lengths of the columns of a system.
-
-        Bounded path: every split of every total up to the word bound top.
-        Graded path: every split of the word degree top; a left word can
-        add rank on a degree-1 map.  A right-only map only ever builds
-        word degree 0 (see :meth:`membership`), so only (0, 0).
-        """
-        totals = (top,) if self._graded else range(top + 1)
-        return ((l1, total - l1) for total in totals for l1 in range(total + 1))
 
     def _left_times(self, left_dword, left_word, e) -> TensorElement:
         """left * e, the left factor a monomial.

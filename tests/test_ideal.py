@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
-from dcubed.tensoralg import TensorElement, tensor_mul
+from dcubed.tensoralg import TensorElement, dword_key, tensor_mul
 from dcubed.differential import d, d_power
 from dcubed import ideal as ideal_module
 from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, WitnessTerm, _Echelon
@@ -243,6 +244,80 @@ def test_size_cap_boundary(name, columns):
     for cap, status in ((columns, "member"), (columns - 1, "bound_exceeded")):
         bounds = Bounds(word_bound=word_bound, size_cap=cap)
         assert Ideal(calc, bounds).membership(query).status == status
+
+
+def dword_counts(n, top):
+    """c_0 .. c_top, the numbers of dwords per grade: dx^i has grade 1 and
+    d^2x^i grade 2, so c_g = n (c_{g-1} + c_{g-2})."""
+    counts = [1, n]
+    while len(counts) <= top:
+        counts.append(n * (counts[-1] + counts[-2]))
+    return counts[:top + 1]
+
+
+# Over-cap systems at the default cap: each is refused from its closed-form
+# count, before a placement, dword or product exists.
+@pytest.mark.parametrize("n, expression, grade", [
+    (4, "dx1 d2x2 d2x3 d2x4 dx1 dx2", 9),
+    (12, "d2x1 d2x2 dx1", 5),
+    (2, " ".join(["d2x1 d2x2"] * 5 + ["dx1"]), 21),
+    (1, " ".join(["dx1"] * 40), 40),
+])
+def test_size_cap_refuses_before_building(n, expression, grade):
+    ideal = Ideal(Calculus(preset_map("commutative", n)))
+    ideal.all_generators()
+    query = parse_expression(expression, ideal.calc)
+    tracemalloc.start()
+    try:
+        verdict = ideal.membership(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == "bound_exceeded"
+    assert f"grade {grade}, word degree 0 exceeds" in verdict.detail
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dwords_of_grade_follow_dword_key(n):
+    for grade, count in enumerate(dword_counts(n, 8)):
+        keys = [dword_key(dword) for dword in ideal_module._dwords_of_grade(n, grade)]
+        assert len(keys) == count
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+# The columns a system walks, in closed form: per generator of grade h,
+# sum_{g1} c_{g1} c_{grade-h-g1} placements, each met by the (left, right)
+# word pairs of total length top (graded) or of every total up to the word
+# bound top (bounded), (total + 1) n^total of each total.
+@pytest.mark.parametrize("name, grade, top", [
+    ("commutative", 3, 0), ("commutative", 4, 0), ("scalar-twist", 3, 0),
+    ("scalar-twist", 4, 0), ("constant", 3, 0), ("constant", 4, 0),
+    ("degree-one", 3, 1), ("quadratic", 3, 1),
+])
+def test_system_walks_its_closed_form_count(name, grade, top, monkeypatch):
+    if name == "quadratic":
+        ideal = Ideal(Calculus(quadratic_map()), Bounds(word_bound=top))
+    elif name == "degree-one":
+        ideal = Ideal(Calculus(build_map(SessionConfig(n=2, xi_entries=DEGREE_ONE))))
+    else:
+        ideal = Ideal(Calculus(preset_map(name, 2)))
+    n, counts = ideal.n, dword_counts(ideal.n, grade)
+    placements = sum(counts[g1] * counts[grade - gen.grade - g1]
+                     for gen in ideal.all_generators()
+                     for g1 in range(grade - gen.grade + 1))
+    totals = range(top + 1) if name == "quadratic" else (top,)
+    columns = placements * sum((total + 1) * n ** total for total in totals)
+    calls = []
+    insert = _Echelon.insert
+
+    def counted(self, vec, column):
+        calls.append(column)
+        return insert(self, vec, column)
+
+    monkeypatch.setattr(_Echelon, "insert", counted)
+    assert ideal._system(grade, top) is not None
+    assert len(calls) == columns > 0
 
 
 def test_membership_word_bound_limits():
