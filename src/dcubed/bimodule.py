@@ -13,7 +13,7 @@ construction performs shape checks only.
 from __future__ import annotations
 
 from .scalar import ONE, Q
-from .freealg import AlgebraElement, check_terms
+from .freealg import AlgebraElement, check_index, check_terms
 
 # The largest generator count a preset (or a session) builds: a structure
 # map holds n^3 entries, all built before any work starts.
@@ -76,6 +76,7 @@ class BimoduleMap:
 
     def entry(self, i: int, j: int, k: int) -> AlgebraElement:
         """The coefficient on d^a x^k produced by crossing x^i over d^a x^j."""
+        check_index(self.n, i, j, k)
         return self.gen[i - 1][k - 1][j - 1]
 
     def prefix_matrices(self, word):
@@ -114,6 +115,7 @@ class BimoduleMap:
         """
         if u.n != self.n:
             raise ValueError(f"element has {u.n} generators, map has {self.n}")
+        check_index(self.n, j)
         column = {}
         for word, coeff in u.terms.items():
             for k, entry in self._word_columns(word)[j - 1]:

@@ -5,13 +5,17 @@ and the twisted product rule
 
     D_k(u v) = D_k(u) v + sum_j  m(u)[k][j] D_j(v),
 
-where m is the bimodule structure map.  The order-1 differential
+where m is the bimodule structure map.  The family of all D_k(v) is held
+the way :meth:`BimoduleMap.push` holds a column of m(u): as the nonzero
+(k, D_k(v)) pairs in ascending k.  The order-1 differential
 v -> sum_k dx^k D_k(v) is :func:`differential.d` on grade 0; its order-2
 companion v -> sum_k d^2 x^k D_k(v) is :meth:`Calculus.d2_tilde`.  Both
 carry their coefficients on the right, ready for the tensor algebra.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .freealg import AlgebraElement
 from .bimodule import BimoduleMap
@@ -36,36 +40,39 @@ class Calculus:
         self.n = bmap.n
 
     def gradient(self, v: AlgebraElement):
-        """All right partial derivatives of v, as a tuple indexed by k-1.
+        """All right partial derivatives of v, in the form :meth:`BimoduleMap.push`
+        returns: the nonzero (k, D_k(v)) pairs in ascending k.
 
         One walk over the prefix matrices of each word evaluates the closed
-        form; no matrix is cached.
+        form; no matrix is cached, and a D_k that no term reaches is never
+        built, so a scalar's gradient is [].
         """
         if v.n != self.n:
             raise ValueError(f"element has {v.n} generators, calculus has {self.n}")
-        out = [AlgebraElement.zero(self.n) for _ in range(self.n)]
+        out = defaultdict(lambda: AlgebraElement.zero(self.n))
         for word, coeff in v.terms.items():
             if not word:
                 continue
             # p = 0: the empty prefix maps to the identity
-            out[word[0] - 1]._accumulate(word[1:], coeff)
+            out[word[0]]._accumulate(word[1:], coeff)
             for p, mat in enumerate(self.bmap.prefix_matrices(word[:-1]), start=1):
                 i, rest = word[p], word[p + 1:]
-                for dk, row in zip(out, mat):
+                for k, row in enumerate(mat, start=1):
                     for u, c in row[i - 1].terms.items():
-                        dk._accumulate(u + rest, c * coeff)
-        return tuple(out)
+                        out[k]._accumulate(u + rest, c * coeff)
+        return [(k, dk) for k, dk in sorted(out.items()) if dk]
 
     def partial(self, k: int, v: AlgebraElement) -> AlgebraElement:
+        """D_k(v), read from :meth:`gradient`; zero when k is not among its pairs."""
         if not 1 <= k <= self.n:
             raise ValueError(f"derivative index {k} outside 1..{self.n}")
-        return self.gradient(v)[k - 1]
+        return dict(self.gradient(v)).get(k, AlgebraElement.zero(self.n))
 
     def d2_tilde(self, v: AlgebraElement) -> TensorElement:
-        """Second-order coordinate differential: sum_k d^2 x^k D_k(v).
+        """Second-order coordinate differential: sum_k d^2 x^k D_k(v), one
+        term per pair of :meth:`gradient`.
 
         Satisfies the ordinary (untwisted) product rule; it differs from the
         square of the grade-one operator by a dx (x) dx correction term.
         """
-        return TensorElement(self.n, {((2, k),): dk for k, dk
-                                      in enumerate(self.gradient(v), start=1) if dk})
+        return TensorElement(self.n, {((2, k),): dk for k, dk in self.gradient(v)})

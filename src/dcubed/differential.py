@@ -35,10 +35,8 @@ def d(calc: Calculus, w: TensorElement) -> TensorElement:
                 raised = dword[:pos] + ((2, index),) + dword[pos + 1:]
                 out._accumulate(raised, r.scale(q_power(prefix)))
             prefix += grade
-        tail_weight = q_power(prefix)
-        for s, ds in enumerate(calc.gradient(r), start=1):
-            if ds:
-                out._accumulate(dword + ((1, s),), ds.scale(tail_weight))
+        for s, ds in calc.gradient(r):
+            out._accumulate(dword + ((1, s),), ds.scale(q_power(prefix)))
     check_terms(out.size())
     return out
 

@@ -33,6 +33,13 @@ def check_terms(count: int) -> None:
             f"a product holds {count} terms, more than MAX_TERMS = {MAX_TERMS}")
 
 
+def check_index(n: int, *indices) -> None:
+    """Raise ValueError unless every generator index lies in 1..n."""
+    for i in indices:
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} outside 1..{n}")
+
+
 def word_key(word: Word):
     """Deterministic word order: length first, then lexicographic."""
     return (len(word), word)
@@ -180,15 +187,12 @@ class AlgebraElement(_Sparse):
 
     @staticmethod
     def generator(n: int, i: int) -> "AlgebraElement":
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} outside 1..{n}")
+        check_index(n, i)
         return AlgebraElement(n, {(i,): ONE})
 
     @staticmethod
     def monomial(n: int, word: Word, coeff=ONE) -> "AlgebraElement":
-        for i in word:
-            if not 1 <= i <= n:
-                raise ValueError(f"generator index {i} outside 1..{n}")
+        check_index(n, *word)
         return AlgebraElement(n, {tuple(word): coeff})
 
     # -- ring structure ----------------------------------------------------

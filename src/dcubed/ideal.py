@@ -86,22 +86,24 @@ def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
 
     Maps (family, k) to its residual in table order; k is None except for
     "entry_d3", one residual d^3(m(v)[k][j]) per k = 1..n.  For v = x^i
-    these are exactly the ideal generators attached to (i, j).
+    these are exactly the ideal generators attached to (i, j).  Only the
+    nonzero entries that ``push(v, j)`` returns are differentiated; every
+    other e_k contributes nothing to the sums, and its "entry_d3" residual
+    is a fresh zero.
     """
     n, bmap = calc.n, calc.bmap
     dv = d(calc, TensorElement.of_algebra(v))
     d2v = d(calc, dv)
-    column = dict(bmap.push(v, j))
-    entry_diffs = []  # per k: (d e_k, d^2 e_k, d^3 e_k)
-    for k in range(1, n + 1):
-        d1 = d(calc, TensorElement.of_algebra(column.get(k, AlgebraElement.zero(n))))
+    entry_diffs = {}  # per pushed k: (d e_k, d^2 e_k, d^3 e_k)
+    for k, e in bmap.push(v, j):
+        d1 = d(calc, TensorElement.of_algebra(e))
         d2 = d(calc, d1)
-        entry_diffs.append((d1, d2, d(calc, d2)))
+        entry_diffs[k] = (d1, d2, d(calc, d2))
 
     def summed(grade, order):
         """sum_k d^grade x^k (x) d^order(e_k)."""
         out = TensorElement(n)
-        for k, diffs in enumerate(entry_diffs, start=1):
+        for k, diffs in entry_diffs.items():
             for w, c in diffs[order - 1].terms.items():
                 out._accumulate(((grade, k),) + w, c)
         return out
@@ -113,7 +115,8 @@ def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
         ("dx_d2x", None): tensor_mul(bmap, dv, d2x_j) - summed(2, 1).scale(q_power(2)),
         ("d2x_dx", None): (tensor_mul(bmap, d2v, dx_j) + summed(2, 1).scale(ONE - Q)
                            - summed(1, 2).scale(q_power(2))),
-        **{("entry_d3", k): diffs[2] for k, diffs in enumerate(entry_diffs, start=1)},
+        **{("entry_d3", k): entry_diffs[k][2] if k in entry_diffs else TensorElement(n)
+           for k in range(1, n + 1)},
         ("d2x_d2x", None): tensor_mul(bmap, d2v, d2x_j) - summed(2, 2).scale(Q),
     }
 

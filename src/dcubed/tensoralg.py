@@ -15,7 +15,7 @@ the defining push-through relations hold identically in this representation.
 from __future__ import annotations
 
 from .scalar import Scalar
-from .freealg import AlgebraElement, _Sparse, check_terms
+from .freealg import AlgebraElement, _Sparse, check_index, check_terms
 from .bimodule import BimoduleMap
 
 Letter = tuple  # (grade, index)
@@ -58,8 +58,7 @@ class TensorElement(_Sparse):
 
     @staticmethod
     def of_letter(n: int, grade: int, index: int, coeff=None) -> "TensorElement":
-        if not 1 <= index <= n:
-            raise ValueError(f"generator index {index} outside 1..{n}")
+        check_index(n, index)
         if coeff is None:
             coeff = AlgebraElement.one(n)
         return TensorElement(n, {(letter(grade, index),): coeff})

@@ -248,7 +248,7 @@ def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
 
     for k in range(1, n + 1):
         expected = TensorElement.zero(n)
-        for l, dl in enumerate(calc.gradient(calc.bmap.entry(i, j, k)), start=1):
+        for l, dl in calc.gradient(calc.bmap.entry(i, j, k)):
             for w, c in d_power(calc, TensorElement.of_algebra(dl), 3).terms.items():
                 expected._accumulate(((1, l),) + w, c)
         out.append(_raw_instance("generator-diff:entry_d3",

@@ -86,8 +86,7 @@ def test_criterion_3_generator_differential_identities():
                     for k in range(1, N + 1):
                         gen = gens["entry_d3", k].element
                         expected = TensorElement.zero(N)
-                        for l, dl in enumerate(
-                                calc.gradient(calc.bmap.entry(i, j, k)), start=1):
+                        for l, dl in calc.gradient(calc.bmap.entry(i, j, k)):
                             d3 = d_power(calc, TensorElement.of_algebra(dl), 3)
                             expected = expected + TensorElement(
                                 N, {((1, l),) + w: c for w, c in d3.terms.items()})

@@ -112,6 +112,21 @@ def test_unit_pushes_unchanged():
             assert m.push(AlgebraElement.one(2), j) == [(j, AlgebraElement.one(2))]
 
 
+@pytest.mark.parametrize("bad", [0, 3])
+def test_indices_outside_range_raise(bad):
+    # the indices just outside 1..n; a list index of -1 would accept 0 silently
+    m = preset_map("commutative", 2)
+    message = f"generator index {bad} outside 1..2"
+    with pytest.raises(ValueError, match=message):
+        m.push(x(2, 1), bad)
+    for i, j, k in ((bad, 2, 2), (2, bad, 2), (2, 2, bad)):
+        with pytest.raises(ValueError, match=message):
+            m.entry(i, j, k)
+    for grade in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            push_through(m, x(2, 1), ((grade, bad),))
+
+
 def test_shape_validation():
     good = preset_map("commutative", 2).gen
     with pytest.raises(ValueError):

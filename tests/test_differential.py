@@ -20,17 +20,16 @@ from conftest import PRESET_NAMES, random_algebra, random_tensor, x
 def entry_d1(calc, i, j, k):
     """dx^l D_l(e)."""
     e = calc.bmap.entry(i, j, k)
-    return TensorElement(calc.n, {((1, l),): dl for l, dl in enumerate(calc.gradient(e), start=1)})
+    return TensorElement(calc.n, {((1, l),): dl for l, dl in calc.gradient(e)})
 
 
 def entry_d2(calc, i, j, k):
     """d^2 x^l D_l(e) + q dx^l (x) dx^m D_m(D_l(e))."""
     e = calc.bmap.entry(i, j, k)
     out = calc.d2_tilde(e)
-    for l, dl in enumerate(calc.gradient(e), start=1):
-        for m, dml in enumerate(calc.gradient(dl), start=1):
-            if dml:
-                out._accumulate(((1, l), (1, m)), dml.scale(Q))
+    for l, dl in calc.gradient(e):
+        for m, dml in calc.gradient(dl):
+            out._accumulate(((1, l), (1, m)), dml.scale(Q))
     return out
 
 
@@ -41,14 +40,12 @@ def entry_d3(calc, i, j, k):
     out = TensorElement(calc.n)
     w21 = Q * q_integer(2)
     w12 = q_power(2)
-    for l, dl in enumerate(calc.gradient(e), start=1):
-        for m, dml in enumerate(calc.gradient(dl), start=1):
-            if dml:
-                out._accumulate(((2, l), (1, m)), dml.scale(w21))
-                out._accumulate(((1, l), (2, m)), dml.scale(w12))
-            for p, dpml in enumerate(calc.gradient(dml), start=1):
-                if dpml:
-                    out._accumulate(((1, l), (1, m), (1, p)), dpml)
+    for l, dl in calc.gradient(e):
+        for m, dml in calc.gradient(dl):
+            out._accumulate(((2, l), (1, m)), dml.scale(w21))
+            out._accumulate(((1, l), (2, m)), dml.scale(w12))
+            for p, dpml in calc.gradient(dml):
+                out._accumulate(((1, l), (1, m), (1, p)), dpml)
     return out
 
 
@@ -56,10 +53,9 @@ def second_iterate_oracle(calc, u):
     """d^2 u built directly from derivatives:
     order-2 coordinate differential plus q dx^i (x) dx^j D_j(D_i(u))."""
     out = calc.d2_tilde(u)
-    for i, di in enumerate(calc.gradient(u), start=1):
-        for j, dji in enumerate(calc.gradient(di), start=1):
-            if dji:
-                out = out + TensorElement.monomial(2, ((1, i), (1, j)), dji.scale(Q))
+    for i, di in calc.gradient(u):
+        for j, dji in calc.gradient(di):
+            out = out + TensorElement.monomial(2, ((1, i), (1, j)), dji.scale(Q))
     return out
 
 
@@ -70,15 +66,12 @@ def third_iterate_oracle(calc, u):
     out = TensorElement.zero(calc.n)
     w21 = Q * q_integer(2)
     w12 = q_power(2)
-    for i, di in enumerate(calc.gradient(u), start=1):
-        for j, dji in enumerate(calc.gradient(di), start=1):
-            if dji:
-                out = out + TensorElement.monomial(2, ((2, i), (1, j)), dji.scale(w21))
-                out = out + TensorElement.monomial(2, ((1, i), (2, j)), dji.scale(w12))
-            for k, dkji in enumerate(calc.gradient(dji), start=1):
-                if dkji:
-                    out = out + TensorElement.monomial(
-                        2, ((1, i), (1, j), (1, k)), dkji)
+    for i, di in calc.gradient(u):
+        for j, dji in calc.gradient(di):
+            out = out + TensorElement.monomial(2, ((2, i), (1, j)), dji.scale(w21))
+            out = out + TensorElement.monomial(2, ((1, i), (2, j)), dji.scale(w12))
+            for k, dkji in calc.gradient(dji):
+                out = out + TensorElement.monomial(2, ((1, i), (1, j), (1, k)), dkji)
     return out
 
 

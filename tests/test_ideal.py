@@ -88,6 +88,27 @@ def test_generator_grades(preset_ideal):
         "dx_dx", "dx_d2x", "d2x_dx", "entry_d3", "entry_d3", "d2x_d2x"]
 
 
+def test_generator_table_differentiates_only_pushed_entries(monkeypatch):
+    # per pair (i, j): d(x^i) and d^2(x^i), then d, d^2 and d^3 of each
+    # nonzero entry that push(x^i, j) returns -- one on commutative, so
+    # 5 n^2 calls in all; differentiating every entry would make 2n^2 + 3n^3
+    n = 6
+    ideal = Ideal(Calculus(preset_map("commutative", n)))
+    calls = []
+
+    def counted(calc, w):
+        calls.append(w)
+        return d(calc, w)
+
+    monkeypatch.setattr(ideal_module, "d", counted)
+    ideal.all_generators()
+    assert len(calls) == 5 * n * n
+    # the entry_d3 residual of an entry push leaves out is a zero of its own
+    zeros = [ideal.generators_for(1, 2)["entry_d3", k].element for k in range(1, n + 1)]
+    assert all(z.is_zero for z in zeros)
+    assert len({id(z) for z in zeros}) == n
+
+
 def test_raw_differentials_of_generators(preset_ideal):
     # the differentials of the grade-2 and grade-3 pattern generators are
     # exact combinations of higher generators; these identities pin both the
