@@ -7,7 +7,11 @@ left to the right, for first and second order letters alike:
 
 On generators the matrices are free data; because the underlying algebra is
 free, any choice extends (uniquely, multiplicatively) to a homomorphism, so
-construction performs shape checks only.
+construction performs shape checks only.  Every m(w) is held in one form,
+its sparse columns: per letter j, the nonzero (k, m(w)[k][j]) pairs in
+ascending k.  :meth:`BimoduleMap.push` reads them, the gradient walks them
+over the prefixes of a word, and the dense :meth:`BimoduleMap.matrix` is
+assembled from them.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 from .scalar import ONE, Q
 from .freealg import AlgebraElement, check_index, check_terms
 
-# The largest generator count a preset (or a session) builds: a structure
-# map holds n^3 entries, all built before any work starts.
+# The largest generator count a preset (or a config file) builds: its n
+# generator matrices hold n^3 entries, all built before any work starts.
 MAX_N = 64
 
 
@@ -25,75 +29,80 @@ def _identity(n: int):
              for j in range(n)] for k in range(n)]
 
 
-def _mat_mul(n: int, left, right):
+def _times(columns, gen_columns):
+    """The sparse columns of A G, from those of A and of a generator's G.
+
+    Column j of A G is the sum, over the pairs (t, g) of column j of G, of
+    column t of A times g; each output k sums its products in ascending t.
+    """
     out = []
-    for left_row in left:
-        zero = AlgebraElement.zero(n)
-        row = [zero] * n
-        for t, a in enumerate(left_row):
-            if not a:
-                continue
-            for j, b in enumerate(right[t]):
-                if b:
-                    row[j] = row[j] + a * b
-        out.append(row)
-    check_terms(sum(len(entry.terms) for row in out for entry in row))
-    return out
+    for gen_column in gen_columns:
+        column = {}
+        for t, g in gen_column:
+            for k, a in columns[t - 1]:
+                column[k] = column[k] + a * g if k in column else a * g
+        out.append(tuple((k, e) for k, e in sorted(column.items()) if e))
+    check_terms(sum(len(e.terms) for column in out for _, e in column))
+    return tuple(out)
 
 
 class BimoduleMap:
     """Structure map given by one n x n matrix of algebra elements per generator.
 
-    ``gen[i-1][k-1][j-1]`` is the entry that appears in
+    ``gen_matrices[i-1][k-1][j-1]`` is the entry that appears in
     ``x^i * d^a x^j = sum_k d^a x^k * entry(i, j, k)``: row index k is the
-    summed output letter, column index j the letter being crossed.
+    summed output letter, column index j the letter being crossed.  That
+    dense list of lists is the input format only; m is held as sparse
+    columns, per letter j the nonzero (k, m(w)[k][j]) pairs in ascending k.
 
     Instances are immutable after construction and may be shared freely.
-    The word cache maps a whole pushed word w (never its prefixes or
-    suffixes) to the sparse columns of m(w): per letter j, the nonzero
-    (k, m(w)[k][j]) pairs in ascending k.  It only ever grows.
+    The word cache maps a word w to the sparse columns of m(w).  It is
+    seeded with the empty word (the identity) and the n generators (i,);
+    beyond them it holds whole pushed words only, never their prefixes or
+    suffixes, and it only ever grows.
     """
 
-    __slots__ = ("n", "gen", "_word_cache")
+    __slots__ = ("n", "_word_cache")
 
     def __init__(self, n: int, gen_matrices):
         if n < 1:
             raise ValueError("generator count must be >= 1")
         if len(gen_matrices) != n:
             raise ValueError(f"expected {n} generator matrices, got {len(gen_matrices)}")
+        one = AlgebraElement.one(n)
+        self.n = n
+        self._word_cache = {(): tuple(((j, one),) for j in range(1, n + 1))}
         for i, mat in enumerate(gen_matrices, start=1):
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError(f"matrix for generator {i} is not {n}x{n}")
-            for row in mat:
-                for entry in row:
-                    if not isinstance(entry, AlgebraElement) or entry.n != n:
-                        raise ValueError(
-                            f"matrix entry for generator {i} lives in the wrong algebra")
-        self.n = n
-        self.gen = [[list(row) for row in mat] for mat in gen_matrices]
-        one = AlgebraElement.one(n)
-        self._word_cache = {(): tuple(((j, one),) for j in range(1, n + 1))}
+            if any(not isinstance(entry, AlgebraElement) or entry.n != n
+                   for row in mat for entry in row):
+                raise ValueError(f"matrix entry for generator {i} lives in the wrong algebra")
+            self._word_cache[(i,)] = tuple(
+                tuple((k, row[j]) for k, row in enumerate(mat, start=1) if row[j])
+                for j in range(n))
 
     def entry(self, i: int, j: int, k: int) -> AlgebraElement:
-        """The coefficient on d^a x^k produced by crossing x^i over d^a x^j."""
+        """The coefficient on d^a x^k produced by crossing x^i over d^a x^j:
+        read from column j of m(x^i), and a fresh zero when k is not in it."""
         check_index(self.n, i, j, k)
-        return self.gen[i - 1][k - 1][j - 1]
+        return dict(self._word_cache[(i,)][j - 1]).get(k, AlgebraElement.zero(self.n))
 
-    def prefix_matrices(self, word):
-        """Yield m(w[:1]), m(w[:2]), ..., m(w): one left-to-right product walk."""
-        mat = None
-        for i in word:
-            gen = self.gen[i - 1]
-            mat = gen if mat is None else _mat_mul(self.n, mat, gen)
-            yield mat
+    def prefix_columns(self, word):
+        """Yield the sparse columns of m(w[:0]) = 1, m(w[:1]), ..., m(w):
+        one left-to-right product walk, each step one :func:`_times` by a
+        generator (the first step is the generator itself)."""
+        product = self._word_cache[()]
+        yield product
+        for p, columns in enumerate(self._word_cache[(i,)] for i in word):
+            product = _times(product, columns) if p else columns
+            yield product
 
     def _word_columns(self, word):
         columns = self._word_cache.get(word)
         if columns is None:
-            for mat in self.prefix_matrices(word):
+            for columns in self.prefix_columns(word):
                 pass
-            columns = tuple(tuple((k, row[j]) for k, row in enumerate(mat, start=1) if row[j])
-                            for j in range(self.n))
             self._word_cache[word] = columns
         return columns
 
@@ -128,20 +137,24 @@ class BimoduleMap:
 
     def entry_degrees(self) -> set:
         """The word lengths of the terms of every entry; empty for a zero map."""
-        return {len(word) for mat in self.gen for row in mat
-                for entry in row for word in entry.terms}
+        return {len(word) for i in range(1, self.n + 1) for column in self._word_cache[(i,)]
+                for _, entry in column for word in entry.terms}
 
     def is_scalar_diagonal(self) -> bool:
         """Whether every m(x^i) is one algebra element p_i times the identity.
 
         Then m(u) = phi(u) I for the endomorphism phi: x^i -> p_i, and a
         coefficient crosses every letter keeping its index:
-        u * d^a x^j = d^a x^j * phi(u).
+        u * d^a x^j = d^a x^j * phi(u).  Column j of m(x^i) is then the
+        one pair (j, p_i), or empty for p_i = 0.
         """
-        return all(entry == mat[0][0] if k == j else not entry
-                   for mat in self.gen
-                   for k, row in enumerate(mat)
-                   for j, entry in enumerate(row))
+        for i in range(1, self.n + 1):
+            columns = self._word_cache[(i,)]
+            p = dict(columns[0]).get(1)
+            if any(column != (((j, p),) if p else ())
+                   for j, column in enumerate(columns, start=1)):
+                return False
+        return True
 
 
 def commutative_map(n: int) -> BimoduleMap:

@@ -43,9 +43,10 @@ class Calculus:
         """All right partial derivatives of v, in the form :meth:`BimoduleMap.push`
         returns: the nonzero (k, D_k(v)) pairs in ascending k.
 
-        One walk over the prefix matrices of each word evaluates the closed
-        form; no matrix is cached, and a D_k that no term reaches is never
-        built, so a scalar's gradient is [].
+        One walk over the prefix columns of each word evaluates the closed
+        form: at position p, each pair (k, entry) of column w[p] of m(w[:p])
+        adds entry w[p+1:] to D_k.  No prefix is cached, and a D_k that no
+        term reaches is never built, so a scalar's gradient is [].
         """
         if v.n != self.n:
             raise ValueError(f"element has {v.n} generators, calculus has {self.n}")
@@ -53,12 +54,10 @@ class Calculus:
         for word, coeff in v.terms.items():
             if not word:
                 continue
-            # p = 0: the empty prefix maps to the identity
-            out[word[0]]._accumulate(word[1:], coeff)
-            for p, mat in enumerate(self.bmap.prefix_matrices(word[:-1]), start=1):
-                i, rest = word[p], word[p + 1:]
-                for k, row in enumerate(mat, start=1):
-                    for u, c in row[i - 1].terms.items():
+            for p, columns in enumerate(self.bmap.prefix_columns(word[:-1])):
+                rest = word[p + 1:]
+                for k, entry in columns[word[p] - 1]:
+                    for u, c in entry.terms.items():
                         out[k]._accumulate(u + rest, c * coeff)
         return [(k, dk) for k, dk in sorted(out.items()) if dk]
 

@@ -8,6 +8,10 @@ check suites and emit a report).
 Exit codes: 0 ok, 1 check failure / non-membership, 2 parse or config
 error, 3 inconclusive (bounds exhausted, a result scalar too long to
 print, or a product of more than ``freealg.MAX_TERMS`` terms).
+
+An expression that begins with ``-`` reads as an option, so argparse
+exits 2 without it; put ``--`` before it, after every option:
+``dcubed diff -k 2 -- "-x1"``.
 """
 
 from __future__ import annotations

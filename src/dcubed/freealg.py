@@ -14,8 +14,8 @@ from .scalar import SCALAR_TYPES, Scalar, ZERO, ONE
 Word = tuple  # tuple[int, ...], indices 1..n
 
 # The most scalar terms one product may hold.  The parser's products,
-# tensor_mul (and each letter of its push_through), d and each prefix
-# matrix of a word check their result against it, so that a result growing
+# tensor_mul (and each letter of its push_through), d and the columns of
+# each prefix product of a word check their result against it, so that a result growing
 # exponentially with its input (a long power of a sum, a long word under a
 # map with several terms per entry) stops with TermLimitError instead of
 # taking seconds to minutes and megabytes.

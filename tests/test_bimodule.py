@@ -30,10 +30,25 @@ def test_unit_maps_to_identity():
                 assert mat[k][j] == expected
 
 
+def diagonal_input(n, entries):
+    """Constructor input m(x^i) = entries[i-1] times the identity, written out."""
+    zero = AlgebraElement.zero(n)
+    return [[[p if k == j else zero for j in range(n)] for k in range(n)] for p in entries]
+
+
 def test_generator_matrices_returned_verbatim():
-    m = preset_map("commutative", 2)
+    # m(x^i) reads back the matrix the constructor was given, zeros included
+    zero = AlgebraElement.zero(2)
+    diagonal = diagonal_input(2, [x(2, 1), x(2, 2)])
+    off_diagonal = [[[zero, x(2, 1)], [AlgebraElement.one(2), zero]],
+                    [[x(2, 2, 1), zero], [x(2, 1) - x(2, 2), x(2, 2)]]]
+    for gen in (diagonal, off_diagonal):
+        m = BimoduleMap(2, gen)
+        for i in (1, 2):
+            assert mat_eq(m.matrix(x(2, i)), gen[i - 1])
+    commutative = preset_map("commutative", 2)
     for i in (1, 2):
-        assert mat_eq(m.matrix(x(2, i)), m.gen[i - 1])
+        assert mat_eq(commutative.matrix(x(2, i)), diagonal[i - 1])
 
 
 def test_commutative_word_is_diagonal():
@@ -41,7 +56,7 @@ def test_commutative_word_is_diagonal():
     # which for the commutative preset is diag(x1 x2, x1 x2)
     m = preset_map("commutative", 2)
     got = m.matrix(x(2, 1, 2))
-    byhand = mat_mul(2, m.gen[0], m.gen[1])
+    byhand = mat_mul(2, m.matrix(x(2, 1)), m.matrix(x(2, 2)))
     assert mat_eq(got, byhand)
     for k in range(2):
         for j in range(2):
@@ -49,9 +64,10 @@ def test_commutative_word_is_diagonal():
             assert got[k][j] == expected
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(NON_DIAGONAL_MAPS))
 def test_matrix_is_multiplicative(name):
-    m = preset_map(name, 2)
+    # the non-diagonal maps do not commute, so a reversed product order shows
+    m = NON_DIAGONAL_MAPS.get(name, lambda: preset_map(name, 2))()
     rng = random.Random(17)
     for _ in range(25):
         u, v = random_algebra(rng, 2), random_algebra(rng, 2)
@@ -64,7 +80,7 @@ def word_matrix(m, word):
     out = [[AlgebraElement.one(n) if k == j else AlgebraElement.zero(n)
             for j in range(n)] for k in range(n)]
     for i in word:
-        out = mat_mul(n, out, m.gen[i - 1])
+        out = mat_mul(n, out, m.matrix(x(n, i)))
     return out
 
 
@@ -128,7 +144,7 @@ def test_indices_outside_range_raise(bad):
 
 
 def test_shape_validation():
-    good = preset_map("commutative", 2).gen
+    good = diagonal_input(2, [x(2, 1), x(2, 2)])
     with pytest.raises(ValueError):
         BimoduleMap(2, good[:1])
     with pytest.raises(ValueError):
@@ -142,7 +158,7 @@ def test_entry_degree_inspection():
     assert preset_map("commutative", 2).entry_degrees() == {1}
     assert preset_map("scalar-twist", 2).entry_degrees() == {1}
     assert preset_map("constant", 2).entry_degrees() == {0}
-    mixed = preset_map("commutative", 2).gen
+    mixed = diagonal_input(2, [x(2, 1), x(2, 2)])
     mixed[0][0][0] = x(2, 1, 1)  # degree-2 entry alongside degree-1 entries
     assert BimoduleMap(2, mixed).entry_degrees() == {1, 2}
     zero = [[[AlgebraElement.zero(2)] * 2] * 2] * 2
@@ -152,6 +168,14 @@ def test_entry_degree_inspection():
     assert all(preset_map(name, 2).is_scalar_diagonal() for name in PRESET_NAMES)
     assert not BimoduleMap(2, mixed).is_scalar_diagonal()
     assert not NON_DIAGONAL_MAPS["twisted"]().is_scalar_diagonal()
+    # m(x1) = 0 is 0 times the identity, beside m(x2) = x2 I
+    zero_x1 = BimoduleMap(2, diagonal_input(2, [AlgebraElement.zero(2), x(2, 2)]))
+    assert zero_x1.is_scalar_diagonal()
+    assert zero_x1.entry_degrees() == {1}
+    # column 1 of m(x1) holds only the off-diagonal entry m(x1)[2][1] = x1
+    lower = diagonal_input(2, [AlgebraElement.zero(2), x(2, 2)])
+    lower[0][1][0] = x(2, 1)
+    assert not BimoduleMap(2, lower).is_scalar_diagonal()
 
 
 def test_scalar_twist_factor():
@@ -161,13 +185,14 @@ def test_scalar_twist_factor():
 
 
 def test_long_word_matrix():
-    # the prefix walk is a loop, so no recursion limit; the cache keeps the
-    # whole word only, not its 1499 proper prefixes
+    # the prefix walk is a loop, so no recursion limit; beside the identity
+    # and the generators, the cache keeps the whole word only, not its 1499
+    # proper prefixes
     m = preset_map("commutative", 2)
     word = x(2, *([1] * 1500))
     assert mat_eq(m.matrix(word), [[word, AlgebraElement.zero(2)],
                                    [AlgebraElement.zero(2), word]])
-    assert list(m._word_cache) == [(), (1,) * 1500]
+    assert list(m._word_cache) == [(), (1,), (2,), (1,) * 1500]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -182,3 +207,16 @@ def test_preset_above_max_n_fails_before_building(name):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_preset_retains_sparse_columns():
+    # the dense input holds n^3 entries, nearly all zero; the map keeps only
+    # the nonzero ones, the n^2 diagonal entries of m(x^i) = x^i I
+    tracemalloc.start()
+    try:
+        m = preset_map("commutative", MAX_N)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.entry_degrees() == {1}
+    assert retained < 4_000_000

@@ -65,6 +65,17 @@ def test_diff_mod_ideal_json_is_one_document(capsys, k, expr, flags, expected):
     assert doc["membership"] == json.loads(member)
 
 
+def test_expression_with_leading_minus_after_double_dash(capsys):
+    # argparse reads "-x1" as an option unless "--" ends the options first
+    code, out, _ = run(capsys, "diff", "--", "-x1")
+    assert code == 0
+    assert out.strip() == "-dx1"
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "-x1"])
+    assert exc.value.code == 2
+    assert "required: expr" in capsys.readouterr().err
+
+
 def test_diff_latex_format(capsys):
     code, out, _ = run(capsys, "diff", "--format", "latex", "x1")
     assert code == 0
