@@ -16,17 +16,14 @@ assembled from them.
 
 from __future__ import annotations
 
-from .scalar import ONE, Q
+from .scalar import Q
 from .freealg import AlgebraElement, check_index, check_terms
 
-# The largest generator count a preset (or a config file) builds: its n
-# generator matrices hold n^3 entries, all built before any work starts.
+# The largest generator count a preset (or a config file) builds.  Its n
+# generator matrices are n^3 dense input entries, all built before any work
+# starts; a preset's off-diagonal entries are one shared zero, which the
+# constructor drops.
 MAX_N = 64
-
-
-def _identity(n: int):
-    return [[AlgebraElement.one(n) if k == j else AlgebraElement.zero(n)
-             for j in range(n)] for k in range(n)]
 
 
 def _times(columns, gen_columns):
@@ -157,38 +154,22 @@ class BimoduleMap:
         return True
 
 
-def commutative_map(n: int) -> BimoduleMap:
-    """Coefficients commute across letters: x^i d x^j = d x^j x^i."""
-    return scalar_twist_map(n, ONE)
-
-
-def scalar_twist_map(n: int, c=Q) -> BimoduleMap:
-    """Commutation up to a fixed scalar factor: x^i d x^j = c d x^j x^i."""
-    gen = []
-    for i in range(1, n + 1):
-        entry = AlgebraElement.monomial(n, (i,), c)
-        gen.append([[entry if k == j else AlgebraElement.zero(n)
-                     for j in range(n)] for k in range(n)])
-    return BimoduleMap(n, gen)
-
-
-def constant_map(n: int) -> BimoduleMap:
-    """Degenerate map with scalar entries: every generator acts as the identity."""
-    return BimoduleMap(n, [_identity(n) for _ in range(n)])
-
-
+# Every preset is diagonal, m(x^i) = p_i I: the entry p_i of (n, i, twist).
 PRESETS = {
-    "commutative": commutative_map,
-    "scalar-twist": scalar_twist_map,
-    "constant": constant_map,
+    "commutative": lambda n, i, twist: AlgebraElement.generator(n, i),
+    "scalar-twist": lambda n, i, twist: AlgebraElement.monomial(n, (i,), twist),
+    "constant": lambda n, i, twist: AlgebraElement.one(n),
 }
 
 
 def preset_map(name: str, n: int, twist=Q) -> BimoduleMap:
+    """The preset ``name`` on n generators: m(x^i) = p_i I, with p_i from
+    :data:`PRESETS` (``twist`` is read by scalar-twist only)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     if n > MAX_N:
         raise ValueError(f"generator count {n} above MAX_N = {MAX_N}")
-    if name == "scalar-twist":
-        return scalar_twist_map(n, twist)
-    return PRESETS[name](n)
+    diagonal = [PRESETS[name](n, i, twist) for i in range(1, n + 1)]
+    zero = AlgebraElement.zero(n)
+    return BimoduleMap(n, [[[p if k == j else zero for j in range(n)] for k in range(n)]
+                           for p in diagonal])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .freealg import AlgebraElement
+from .freealg import AlgebraElement, check_index
 from .bimodule import BimoduleMap
 from .tensoralg import TensorElement
 
@@ -63,8 +63,7 @@ class Calculus:
 
     def partial(self, k: int, v: AlgebraElement) -> AlgebraElement:
         """D_k(v), read from :meth:`gradient`; zero when k is not among its pairs."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"derivative index {k} outside 1..{self.n}")
+        check_index(self.n, k)
         return dict(self.gradient(v)).get(k, AlgebraElement.zero(self.n))
 
     def d2_tilde(self, v: AlgebraElement) -> TensorElement:

@@ -23,7 +23,8 @@ bound keeps its default from :class:`dcubed.ideal.Bounds` (for
 oracle's bounded path reads ``word_bound``; a graded map, every preset
 among them, ignores it.
 ``n`` is at most :data:`dcubed.bimodule.MAX_N` = 64, from a file or from
-``-n``: its generator matrices hold n^3 entries, built before any work starts.  ``verify
+``-n``: its generator matrices hold n^3 entries, built before any work starts
+(a preset's zeros are one shared object).  ``verify
 --max-word-len`` is at most ``MAX_WORD_LEN`` = 6: the sampled checks take
 every word up to that length, n^len of them.  Unknown keys,
 ``bounds.grade_bound`` among them, are rejected.

@@ -225,10 +225,11 @@ def check_d2_binomial(ideal: Ideal, u: AlgebraElement,
     """d^2(uv) = d^2(u) v + [2]_q d(u) d(v) + u d^2(v)  modulo the ideal."""
     calc, bmap = ideal.calc, ideal.calc.bmap
     tu, tv = TensorElement.of_algebra(u), TensorElement.of_algebra(v)
+    du, dv = d(calc, tu), d(calc, tv)
     residual = d_power(calc, tensor_mul(bmap, tu, tv), 2) \
-        - tensor_mul(bmap, d_power(calc, tu, 2), tv) \
-        - tensor_mul(bmap, d(calc, tu), d(calc, tv)).scale(q_integer(2)) \
-        - tensor_mul(bmap, tu, d_power(calc, tv, 2))
+        - tensor_mul(bmap, d(calc, du), tv) \
+        - tensor_mul(bmap, du, dv).scale(q_integer(2)) \
+        - tensor_mul(bmap, tu, d(calc, dv))
     inputs = {"u": format_algebra(u), "v": format_algebra(v)}
     return _membership_instance(ideal, "d2-binomial", inputs, residual)
 

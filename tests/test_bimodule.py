@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 
-from dcubed.scalar import Q
+from dcubed.scalar import Q, Scalar
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import MAX_N, BimoduleMap, preset_map
+from dcubed.calculus import Calculus
 from dcubed.tensoralg import push_through
 
 from conftest import NON_DIAGONAL_MAPS, PRESET_NAMES, random_algebra, x
@@ -46,9 +47,19 @@ def test_generator_matrices_returned_verbatim():
         m = BimoduleMap(2, gen)
         for i in (1, 2):
             assert mat_eq(m.matrix(x(2, i)), gen[i - 1])
-    commutative = preset_map("commutative", 2)
-    for i in (1, 2):
-        assert mat_eq(commutative.matrix(x(2, i)), diagonal[i - 1])
+    # every preset is m(x^i) = p_i I, with the p_i of the README's table
+    readme_p = {
+        "commutative": lambda i, c: x(3, i),
+        "scalar-twist": lambda i, c: x(3, i).scale(c),
+        "constant": lambda i, c: AlgebraElement.one(3),
+    }
+    assert tuple(readme_p) == PRESET_NAMES
+    for name, p in readme_p.items():
+        for twist in (Q, Scalar(2)):
+            m = preset_map(name, 3, twist)
+            expected = diagonal_input(3, [p(i, twist) for i in (1, 2, 3)])
+            for i in (1, 2, 3):
+                assert mat_eq(m.matrix(x(3, i)), expected[i - 1])
 
 
 def test_commutative_word_is_diagonal():
@@ -141,6 +152,8 @@ def test_indices_outside_range_raise(bad):
     for grade in (1, 2):
         with pytest.raises(ValueError, match=message):
             push_through(m, x(2, 1), ((grade, bad),))
+    with pytest.raises(ValueError, match=message):
+        Calculus(m).partial(bad, x(2, 1))
 
 
 def test_shape_validation():
@@ -209,14 +222,18 @@ def test_preset_above_max_n_fails_before_building(name):
     assert peak < 100_000
 
 
-def test_preset_retains_sparse_columns():
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_retains_sparse_columns(name):
     # the dense input holds n^3 entries, nearly all zero; the map keeps only
-    # the nonzero ones, the n^2 diagonal entries of m(x^i) = x^i I
+    # the nonzero ones, the n^2 diagonal entries of m(x^i) = p_i I.  The
+    # zeros are one shared object: fresh ones would peak near 30 MiB
     tracemalloc.start()
     try:
-        m = preset_map("commutative", MAX_N)
-        retained, _ = tracemalloc.get_traced_memory()
+        m = preset_map(name, MAX_N)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert m.entry_degrees() == {1}
+    assert m.is_scalar_diagonal()
+    assert m.entry_degrees() == ({0} if name == "constant" else {1})
     assert retained < 4_000_000
+    assert peak < 8 * 2**20
