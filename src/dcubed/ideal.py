@@ -13,7 +13,7 @@ structure-map entry on d^a x^k and q for the cube root of unity):
 
 :func:`relations` is the one place this table is written as code: it
 builds the five residuals for x^i replaced by any algebra element v, and
-the generators and the congruence checks both read them from there.
+the generator table and the checks all read them from there.
 
 The zeroth-order push-through relations are not emitted: coefficients are
 always stored to the right of the letters, so those relations hold
@@ -85,11 +85,12 @@ def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
     """The five relations of the module docstring's table, x^i replaced by v.
 
     Maps (family, k) to its residual in table order; k is None except for
-    "entry_d3", one residual d^3(m(v)[k][j]) per k = 1..n.  For v = x^i
-    these are exactly the ideal generators attached to (i, j).  Only the
-    nonzero entries that ``push(v, j)`` returns are differentiated; every
-    other e_k contributes nothing to the sums, and its "entry_d3" residual
-    is a fresh zero.
+    "entry_d3", one residual d^3(m(v)[k][j]) per k = 1..n, so every key is
+    present on every map.  For v = x^i the nonzero residuals are the ideal
+    generators attached to (i, j) (see :meth:`Ideal.all_generators`), and
+    the checks read the whole dict.  Only the nonzero entries that
+    ``push(v, j)`` returns are differentiated; every other e_k contributes
+    nothing to the sums, and its "entry_d3" residual is a fresh zero.
     """
     n, bmap = calc.n, calc.bmap
     dv = d(calc, TensorElement.of_algebra(v))
@@ -115,7 +116,7 @@ def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
         ("dx_d2x", None): tensor_mul(bmap, dv, d2x_j) - summed(2, 1).scale(q_power(2)),
         ("d2x_dx", None): (tensor_mul(bmap, d2v, dx_j) + summed(2, 1).scale(ONE - Q)
                            - summed(1, 2).scale(q_power(2))),
-        **{("entry_d3", k): entry_diffs[k][2] if k in entry_diffs else TensorElement(n)
+        **{("entry_d3", k): entry_diffs[k][2] if k in entry_diffs else TensorElement.zero(n)
            for k in range(1, n + 1)},
         ("d2x_d2x", None): tensor_mul(bmap, d2v, d2x_j) - summed(2, 2).scale(Q),
     }
@@ -349,7 +350,7 @@ def _dwords_of_grade(n: int, grade: int):
 
 
 class Ideal:
-    """Ideal context: generator cache and membership oracle.
+    """Ideal context: the generator table and the membership oracle.
 
     Every system is keyed by (grade, top).  On the graded path ``top`` is
     the word degree of a bidegree, on the bounded path the word bound.
@@ -359,8 +360,7 @@ class Ideal:
         self.calc = calc
         self.n = calc.n
         self.bounds = Bounds() if bounds is None else bounds
-        self._generators = {}  # (i, j) -> generators_for(i, j)
-        self._nonzero = None
+        self._generators = None  # all_generators(), built on first use
         self._leads = None
         self._systems = {}  # (grade, top) -> _Echelon
         self._keys = {}  # interned vector keys, see _vectorize
@@ -379,25 +379,23 @@ class Ideal:
 
     # -- generators ----------------------------------------------------------
 
-    def generators_for(self, i, j) -> dict:
-        """All generators attached to the index pair (i, j), zeros included,
-        keyed (family, k) in table order as :func:`relations` keys them."""
-        gens = self._generators.get((i, j))
-        if gens is None:
-            rels = relations(self.calc, AlgebraElement.generator(self.n, i), j)
-            gens = self._generators[(i, j)] = {
-                (family, k): Generator(family, i, j, k, element)
-                for (family, k), element in rels.items()}
-        return gens
-
     def all_generators(self):
-        """Nonzero generators over all index pairs (the spanning alphabet)."""
-        if self._nonzero is None:
-            pairs = itertools.product(range(1, self.n + 1), repeat=2)
-            self._nonzero = tuple(g for i, j in pairs
-                                  for g in self.generators_for(i, j).values()
-                                  if not g.element.is_zero)
-        return self._nonzero
+        """The nonzero generators, the spanning alphabet of every system.
+
+        Index pairs (i, j) in lexicographic order, and within a pair the
+        table order of :func:`relations`, from one call per pair.  A zero
+        residual (an entry_d3 of an entry that ``push`` leaves out, or a
+        family that vanishes on the map) never becomes a :class:`Generator`.
+        """
+        if self._generators is None:
+            n = self.n
+            self._generators = tuple(
+                Generator(family, i, j, k, element)
+                for i, j in itertools.product(range(1, n + 1), repeat=2)
+                for (family, k), element in relations(
+                    self.calc, AlgebraElement.generator(n, i), j).items()
+                if not element.is_zero)
+        return self._generators
 
     # -- membership ------------------------------------------------------------
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcubed.scalar import Scalar, Q
+from dcubed.scalar import Scalar, Q, q_power
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
@@ -104,6 +104,31 @@ DEGREE_ONE = [[["(-1-q) x1 + x2", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]
 # a scalar-diagonal degree-1 map whose p_1 = x1 + x2 recombines words as it
 # crosses a letter, instead of rescaling them
 SCALAR_DIAGONAL = [[["x1 + x2", "0"], ["0", "x1 + x2"]], [["q x1", "0"], ["0", "q x1"]]]
+
+
+def diagonal_map(diagonal):
+    """The map m(x^i) = p_i I on n = len(diagonal) generators."""
+    n = len(diagonal)
+    zero = AlgebraElement.zero(n)
+    return BimoduleMap(n, [[[p if k == j else zero for j in range(n)] for k in range(n)]
+                           for p in diagonal])
+
+
+# Two right-only n=3 maps (degree 1, scalar-diagonal) whose letter ideal
+# needs more than its two-letter generators as a Groebner basis: the cyclic
+# permutation p = (x2, x3, x1) and the twist p = (q x1, q x2, q^2 x3)
+RIGHT_ONLY_MAPS = {
+    "permutation": lambda: diagonal_map([x(3, 2), x(3, 3), x(3, 1)]),
+    "twist": lambda: diagonal_map([x(3, 1).scale(Q), x(3, 2).scale(Q),
+                                   x(3, 3).scale(q_power(2))]),
+}
+
+
+def generator(ideal, family, i, j, k=None):
+    """The ideal's own Generator keyed (family, i, j, k), from its table."""
+    [gen] = [g for g in ideal.all_generators()
+             if (g.family, g.i, g.j, g.k) == (family, i, j, k)]
+    return gen
 
 
 def quadratic_map():

@@ -15,12 +15,12 @@ from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, dword_key, tensor_mul
 from dcubed.differential import d, d_power
 from dcubed import ideal as ideal_module
-from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, WitnessTerm, _Echelon
+from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, WitnessTerm, _Echelon, relations
 from dcubed.parsing import parse_expression
 
 from conftest import (
-    DEGREE_ONE, PRESET_NAMES, SMALL_SCALARS, normal_form, quadratic_map,
-    random_tensor, x,
+    DEGREE_ONE, PRESET_NAMES, RIGHT_ONLY_MAPS, SMALL_SCALARS, generator, normal_form,
+    quadratic_map, random_tensor, x,
 )
 
 
@@ -41,17 +41,17 @@ def mono(n, dword, coeff=None):
 def test_commutative_dx_dx_generator(commutative_ideal):
     # entries are delta^j_k x^i, so d(e_k) = delta^j_k dx^i, d^2(e_k) =
     # delta^j_k d^2x^i and d^3(e_k) = 0; each family is expanded by hand
-    gens = commutative_ideal.generators_for(1, 2)
-    assert gens["dx_dx", None].element == \
+    gens = relations(commutative_ideal.calc, x(2, 1), 2)
+    assert gens["dx_dx", None] == \
         mono(2, ((1, 1), (1, 2))) - mono(2, ((1, 2), (1, 1))).scale(Q)
-    assert gens["dx_d2x", None].element == \
+    assert gens["dx_d2x", None] == \
         mono(2, ((1, 1), (2, 2))) - mono(2, ((2, 2), (1, 1))).scale(q_power(2))
-    assert gens["d2x_dx", None].element == mono(2, ((2, 1), (1, 2))) \
+    assert gens["d2x_dx", None] == mono(2, ((2, 1), (1, 2))) \
         + mono(2, ((2, 2), (1, 1))).scale(ONE - Q) \
         - mono(2, ((1, 2), (2, 1))).scale(q_power(2))
     for k in (1, 2):
-        assert gens["entry_d3", k].element.is_zero
-    assert gens["d2x_d2x", None].element == \
+        assert gens["entry_d3", k].is_zero
+    assert gens["d2x_d2x", None] == \
         mono(2, ((2, 1), (2, 2))) - mono(2, ((2, 2), (2, 1))).scale(Q)
 
 
@@ -63,29 +63,35 @@ def test_quadratic_entry_d3_generator():
     s = AlgebraElement.one(2) + x(2, 1) + x(2, 1, 1)
     expected = mono(2, ((1, 1), (2, 1)), s).scale(q_power(2)) \
         - mono(2, ((2, 1), (1, 1)), s) + mono(2, ((1, 1), (1, 1), (1, 1)), s)
-    gens = ideal.generators_for(1, 1)
-    assert gens["entry_d3", 1].element == expected
-    assert gens["entry_d3", 2].element.is_zero
+    gens = relations(ideal.calc, x(2, 1), 1)
+    assert gens["entry_d3", 1] == expected
+    assert gens["entry_d3", 2].is_zero
 
 
 def test_constant_preset_degenerate_families():
     ideal = Ideal(Calculus(preset_map("constant", 2)))
     for i in (1, 2):
         for j in (1, 2):
-            gens = ideal.generators_for(i, j)
+            gens = relations(ideal.calc, x(2, i), j)
             for k in (1, 2):
-                assert gens["entry_d3", k].element.is_zero
+                assert gens["entry_d3", k].is_zero
             # scalar entries make every derivative vanish: pure patterns remain
-            assert gens["dx_dx", None].element == mono(2, ((1, i), (1, j)))
-            assert gens["d2x_d2x", None].element == mono(2, ((2, i), (2, j)))
+            assert gens["dx_dx", None] == mono(2, ((1, i), (1, j)))
+            assert gens["d2x_d2x", None] == mono(2, ((2, i), (2, j)))
 
 
 def test_generator_grades(preset_ideal):
     for gen in preset_ideal.all_generators():
         assert gen.element.homogeneous_grade() == FAMILY_GRADES[gen.family]
-    listing = preset_ideal.generators_for(1, 2).values()
-    assert [g.family for g in listing] == [
+    listing = relations(preset_ideal.calc, x(2, 1), 2)
+    assert [family for family, _ in listing] == [
         "dx_dx", "dx_d2x", "d2x_dx", "entry_d3", "entry_d3", "d2x_d2x"]
+    # the table keeps the nonzero ones, pairs in lexicographic order
+    pairs = itertools.product((1, 2), repeat=2)
+    assert [(g.family, g.i, g.j, g.k) for g in preset_ideal.all_generators()] == [
+        (family, i, j, k) for i, j in pairs
+        for (family, k), element in relations(preset_ideal.calc, x(2, i), j).items()
+        if element]
 
 
 def test_generator_table_differentiates_only_pushed_entries(monkeypatch):
@@ -104,9 +110,42 @@ def test_generator_table_differentiates_only_pushed_entries(monkeypatch):
     ideal.all_generators()
     assert len(calls) == 5 * n * n
     # the entry_d3 residual of an entry push leaves out is a zero of its own
-    zeros = [ideal.generators_for(1, 2)["entry_d3", k].element for k in range(1, n + 1)]
+    rels = relations(ideal.calc, x(n, 1), 2)
+    zeros = [rels["entry_d3", k] for k in range(1, n + 1)]
     assert all(z.is_zero for z in zeros)
     assert len({id(z) for z in zeros}) == n
+
+
+def test_generator_table_builds_only_what_it_returns(monkeypatch):
+    # one Generator per nonzero residual: 4 n^2 on commutative, where
+    # building every residual of relations would make n^2 (n + 4)
+    n = 6
+    ideal = Ideal(Calculus(preset_map("commutative", n)))
+    real, built = ideal_module.Generator, []
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ideal_module, "Generator", counted)
+    gens = ideal.all_generators()
+    assert len(built) == len(gens) == 4 * n * n
+    assert all(a is b for a, b in zip(built, gens))
+    assert not any(gen.element.is_zero for gen in gens)
+
+
+def test_generator_table_retains_little_memory():
+    # 2304 generators of two or three terms each; the n^3 zero entry_d3
+    # residuals are dropped as each pair is done
+    ideal = Ideal(Calculus(preset_map("commutative", 24)))
+    tracemalloc.start()
+    try:
+        gens = ideal.all_generators()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(gens) == 4 * 24 ** 2
+    assert retained < 5 * 2 ** 20
 
 
 def test_raw_differentials_of_generators(preset_ideal):
@@ -117,17 +156,17 @@ def test_raw_differentials_of_generators(preset_ideal):
     calc = ideal.calc
     for i in (1, 2):
         for j in (1, 2):
-            gens = ideal.generators_for(i, j)
-            g_dx_dx = gens["dx_dx", None].element
-            g_dx_d2x = gens["dx_d2x", None].element
-            g_d2x_dx = gens["d2x_dx", None].element
-            g_d2x_d2x = gens["d2x_d2x", None].element
+            gens = relations(calc, x(2, i), j)
+            g_dx_dx = gens["dx_dx", None]
+            g_dx_d2x = gens["dx_d2x", None]
+            g_d2x_dx = gens["d2x_dx", None]
+            g_d2x_d2x = gens["d2x_d2x", None]
             assert d(calc, g_dx_dx) == g_d2x_dx + g_dx_d2x.scale(Q)
             assert d(calc, g_dx_d2x) == g_d2x_d2x
             correction = TensorElement.zero(2)
             for k in (1, 2):
                 correction = correction + tensor_mul(
-                    calc.bmap, mono(2, ((1, k),)), gens["entry_d3", k].element)
+                    calc.bmap, mono(2, ((1, k),)), gens["entry_d3", k])
             assert d(calc, g_d2x_dx) == g_d2x_d2x.scale(q_power(2)) - correction
 
 
@@ -149,7 +188,7 @@ def test_witness_terms_hold_the_ideals_generators(name):
     # is eliminated against one
     bmap = quadratic_map() if name == "quadratic" else preset_map(name, 2)
     ideal = Ideal(Calculus(bmap), Bounds(word_bound=1))
-    gen = ideal.generators_for(1, 2)["dx_dx", None]
+    gen = generator(ideal, "dx_dx", 1, 2)
     fast = ideal.membership(gen.element.scale(Q))
     assert fast.witness == [WitnessTerm((), (), gen, (), (), Q)] and not ideal._systems
     query = tensor_mul(bmap, mono(2, ((1, 1),)), gen.element)
@@ -157,11 +196,11 @@ def test_witness_terms_hold_the_ideals_generators(name):
     assert ideal._systems and ideal.expand_witness(eliminated.witness) == query
     for term in fast.witness + eliminated.witness:
         own = term.generator
-        assert own is ideal.generators_for(own.i, own.j)[own.family, own.k]
+        assert own is generator(ideal, own.family, own.i, own.j, own.k)
 
 
 def test_left_multiple_stays_in_ideal(commutative_ideal):
-    gen = commutative_ideal.generators_for(1, 2)["dx_dx", None].element
+    gen = relations(commutative_ideal.calc, x(2, 1), 2)["dx_dx", None]
     shifted = tensor_mul(commutative_ideal.calc.bmap, mono(2, ((1, 1),)), gen)
     verdict = commutative_ideal.membership(shifted)
     assert verdict.is_member
@@ -169,7 +208,7 @@ def test_left_multiple_stays_in_ideal(commutative_ideal):
 
 
 def test_word_multiple_stays_in_ideal(preset_ideal):
-    gen = preset_ideal.generators_for(1, 1)["dx_dx", None].element
+    gen = relations(preset_ideal.calc, x(2, 1), 1)["dx_dx", None]
     u = TensorElement.of_algebra(x(2, 2))
     shifted = tensor_mul(preset_ideal.calc.bmap, u, gen)
     if shifted.is_zero:
@@ -203,7 +242,7 @@ def test_non_members(commutative_ideal):
 
 def test_residual_is_exact(commutative_ideal):
     # member part gets absorbed, the alien letter survives verbatim
-    gen = commutative_ideal.generators_for(1, 2)["dx_dx", None].element
+    gen = relations(commutative_ideal.calc, x(2, 1), 2)["dx_dx", None]
     e = gen + mono(2, ((2, 1),))
     verdict = commutative_ideal.membership(e)
     assert verdict.status == "not_member_at_bound"
@@ -233,7 +272,7 @@ def test_membership_vectorizes_the_query_once(name, monkeypatch):
 
 def test_size_cap_reports_bound_exceeded():
     ideal = Ideal(Calculus(preset_map("commutative", 2)), Bounds(size_cap=1))
-    gen = ideal.generators_for(1, 2)["dx_dx", None].element
+    gen = relations(ideal.calc, x(2, 1), 2)["dx_dx", None]
     shifted = tensor_mul(ideal.calc.bmap, mono(2, ((1, 1),)), gen)
     verdict = ideal.membership(shifted)
     assert verdict.status == "bound_exceeded"
@@ -259,7 +298,7 @@ def test_size_cap_boundary(name, columns):
         bmap = preset_map(name, 2)
     word_bound = 1 if name == "quadratic" else None
     calc = Calculus(bmap)
-    gen = Ideal(calc).generators_for(1, 2)["dx_dx", None].element
+    gen = relations(calc, x(2, 1), 2)["dx_dx", None]
     query = tensor_mul(bmap, tensor_mul(bmap, mono(2, ((1, 1),)), gen),
                        TensorElement.of_algebra(x(2, 1)))
     for cap, status in ((columns, "member"), (columns - 1, "bound_exceeded")):
@@ -341,10 +380,21 @@ def test_system_walks_its_closed_form_count(name, grade, top, monkeypatch):
     assert len(calls) == columns > 0
 
 
+# dim Omega_{g,0} = |dwords of grade g| - rank of the letter system (g, 0),
+# g = 2..6, on the two maps of RIGHT_ONLY_MAPS
+@pytest.mark.parametrize("name, dims", [("permutation", [5, 4, 4, 3, 4]),
+                                        ("twist", [4, 4, 3, 3, 4])])
+def test_letter_quotient_dimensions(name, dims):
+    ideal = Ideal(Calculus(RIGHT_ONLY_MAPS[name]()))
+    assert ideal._right_only
+    assert [len(ideal_module._dwords_of_grade(3, g)) - len(ideal._system(g, 0).rows)
+            for g in range(2, 7)] == dims
+
+
 def test_membership_word_bound_limits():
     # only the bounded path reads the word bound
     calc = Calculus(quadratic_map())
-    gen = Ideal(calc).generators_for(1, 1)["dx_dx", None].element
+    gen = relations(calc, x(2, 1), 1)["dx_dx", None]
     deep = tensor_mul(calc.bmap, TensorElement.of_algebra(x(2, 1, 2)), gen)
     assert Ideal(calc, Bounds(word_bound=0)).membership(deep).status \
         == "not_member_at_bound"
@@ -392,7 +442,7 @@ def test_nonlinear_map_uses_bounded_path():
     zero = [[[z] * 2] * 2] * 2
     for gen in (mixed, zero):
         assert not Ideal(Calculus(BimoduleMap(2, gen)))._graded
-    gen = ideal.generators_for(1, 2)["dx_dx", None].element
+    gen = relations(ideal.calc, x(2, 1), 2)["dx_dx", None]
     image = d(ideal.calc, gen)
     verdict = ideal.membership(image)
     assert verdict.is_member

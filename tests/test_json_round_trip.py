@@ -24,6 +24,7 @@ from dcubed.differential import d_power
 from dcubed.ideal import WitnessTerm
 from dcubed.parsing import format_tensor, parse_algebra, parse_expression
 
+from conftest import generator
 from test_oracle_properties import (
     IDEALS, N, combination, element, elements, presets, products,
 )
@@ -53,7 +54,7 @@ def tensor_from_obj(obj):
 def witness_from_obj(obj, ideal):
     """Inverse of ``WitnessTerm.to_dict`` over a whole witness of ideal."""
     return [WitnessTerm(tuple(map(tuple, t["left"]["letters"])), tuple(t["left"]["word"]),
-                        ideal.generators_for(t["i"], t["j"])[t["family"], t.get("k")],
+                        generator(ideal, t["family"], t["i"], t["j"], t.get("k")),
                         tuple(map(tuple, t["right"]["letters"])), tuple(t["right"]["word"]),
                         parse_algebra(t["coefficient"], N).constant_value())
             for t in obj]

@@ -20,8 +20,11 @@ element times the identity) builds only the letter system (grade, 0), and
 the bidegree is n^wdeg copies of it, one per right word: its rank is the
 letter system's times n^wdeg, left words and all.  The scalar-diagonal
 map ``SCALAR_DIAGONAL`` has p_1 = x1 + x2, so crossing it recombines words
-instead of rescaling them.  On the degree-1 map of ``DEGREE_ONE`` a left
-word adds rank.
+instead of rescaling them.  On the n=3 permutation map of
+``RIGHT_ONLY_MAPS`` the two-letter generators are not a Groebner basis of
+the letter ideal; its ranks 41, 123 and 167 at (3, 0), (3, 1) and (4, 0)
+are the dimensions pinned in ``test_ideal.py`` read the other way.  On the
+degree-1 map of ``DEGREE_ONE`` a left word adds rank.
 """
 
 import pytest
@@ -36,7 +39,7 @@ from dcubed.config import SessionConfig, build_map
 from dcubed.ideal import Ideal, _vectorize
 from dcubed.tensoralg import dword_grade
 
-from conftest import DEGREE_ONE, SCALAR_DIAGONAL, products, quadratic_map
+from conftest import DEGREE_ONE, RIGHT_ONLY_MAPS, SCALAR_DIAGONAL, products, quadratic_map
 
 # building the field takes about half a second: once per module
 FIELD = sympy.QQ.algebraic_field(sympy.sqrt(-3))
@@ -50,6 +53,7 @@ CASES += [("quadratic", 2, None, 2), ("quadratic", 3, None, 1)]
 CASES += [("constant", grade, 1, None) for grade in (2, 3)]
 CASES += [("degree-one", 3, 1, None)]
 CASES += [("scalar-diagonal", grade, wdeg, None) for grade, wdeg in ((2, 1), (3, 1), (4, 0))]
+CASES += [("permutation", grade, wdeg, None) for grade, wdeg in ((3, 0), (3, 1), (4, 0))]
 
 
 def structure_map(name):
@@ -59,6 +63,8 @@ def structure_map(name):
         return build_map(SessionConfig(n=2, xi_entries=SCALAR_DIAGONAL))
     if name == "quadratic":
         return quadratic_map()
+    if name in RIGHT_ONLY_MAPS:
+        return RIGHT_ONLY_MAPS[name]()
     return preset_map(name, 2)
 
 

@@ -14,7 +14,7 @@ from dcubed.verify import (
     check_generator_diffs, run_suite, SUITES,
 )
 
-from conftest import PRESET_NAMES, SMALL_SCALARS, x
+from conftest import PRESET_NAMES, RIGHT_ONLY_MAPS, SMALL_SCALARS, generator, x
 
 
 @pytest.fixture(params=PRESET_NAMES)
@@ -67,7 +67,7 @@ def test_q_leibniz_nonscalar_left_factor_is_congruence(commutative_ideal):
     assert inst.tier == "ideal" and inst.verdict == "pass"
     assert len(inst.witness) == 1
     w = inst.witness[0]
-    assert w.generator is commutative_ideal.generators_for(1, 1)["dx_dx", None]
+    assert w.generator is generator(commutative_ideal, "dx_dx", 1, 1)
 
 
 def test_q_leibniz_grade3_left_factor(commutative_ideal):
@@ -201,6 +201,13 @@ def test_every_suite_passes_on_random_maps(seed, degree):
     bmap = random_map(seed, degree)
     assert bmap.entry_degrees() == {degree}
     report = run_suite(Ideal(Calculus(bmap)), ("all",), seed, max_word_len=1)
+    assert report.exit_code == 0, [(i.check, i.inputs) for r in report.reports
+                                   for i in r.instances if i.verdict != "pass"]
+
+
+@pytest.mark.parametrize("name", list(RIGHT_ONLY_MAPS))
+def test_every_suite_passes_on_right_only_maps(name):
+    report = run_suite(Ideal(Calculus(RIGHT_ONLY_MAPS[name]())), ("all",), max_word_len=1)
     assert report.exit_code == 0, [(i.check, i.inputs) for r in report.reports
                                    for i in r.instances if i.verdict != "pass"]
 
