@@ -25,6 +25,31 @@ from .freealg import AlgebraElement, check_index, check_terms
 # constructor drops.
 MAX_N = 64
 
+# The most scalar terms each of a map's two caches stores beyond its seeds.
+# Past it a cache still answers the keys it holds, and computes the rest
+# without storing them, so a long session's memory stays bounded.
+CACHE_TERMS = 4096
+
+
+class _Cache(dict):
+    """A dict that counts the scalar terms it has stored and stops storing
+    once they would pass :data:`CACHE_TERMS`; entries set by item are the
+    uncounted seeds."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, seeds=()):
+        super().__init__(seeds)
+        self.terms = 0
+
+    def store(self, key, value, terms):
+        """Keep ``value`` under ``key`` when its ``terms`` fit the budget;
+        return ``value`` either way."""
+        if self.terms + terms <= CACHE_TERMS:
+            self[key] = value
+            self.terms += terms
+        return value
+
 
 def _times(columns, gen_columns):
     """The sparse columns of A G, from those of A and of a generator's G.
@@ -53,13 +78,20 @@ class BimoduleMap:
     columns, per letter j the nonzero (k, m(w)[k][j]) pairs in ascending k.
 
     Instances are immutable after construction and may be shared freely.
-    The word cache maps a word w to the sparse columns of m(w).  It is
-    seeded with the empty word (the identity) and the n generators (i,);
-    beyond them it holds whole pushed words only, never their prefixes or
-    suffixes, and it only ever grows.
+    They hold two caches, each bounded by :data:`CACHE_TERMS` scalar terms
+    beyond its seeds (a full cache answers what it holds and stores nothing
+    more):
+
+    * the word cache maps a word w to the sparse columns of m(w).  It is
+      seeded with the empty word (the identity) and the n generators (i,),
+      which always stay; beyond them it holds whole pushed words only,
+      never their prefixes or suffixes;
+    * the crossing memo maps (word, dword) to the canonical form of the
+      unit-coefficient monomial word * dword: per tensor word, the (word,
+      scalar) terms of its coefficient.  ``tensoralg`` fills and reads it.
     """
 
-    __slots__ = ("n", "_word_cache")
+    __slots__ = ("n", "_word_cache", "_crossings")
 
     def __init__(self, n: int, gen_matrices):
         if n < 1:
@@ -68,7 +100,8 @@ class BimoduleMap:
             raise ValueError(f"expected {n} generator matrices, got {len(gen_matrices)}")
         one = AlgebraElement.one(n)
         self.n = n
-        self._word_cache = {(): tuple(((j, one),) for j in range(1, n + 1))}
+        self._word_cache = _Cache({(): tuple(((j, one),) for j in range(1, n + 1))})
+        self._crossings = _Cache()
         for i, mat in enumerate(gen_matrices, start=1):
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError(f"matrix for generator {i} is not {n}x{n}")
@@ -100,7 +133,8 @@ class BimoduleMap:
         if columns is None:
             for columns in self.prefix_columns(word):
                 pass
-            self._word_cache[word] = columns
+            self._word_cache.store(word, columns, sum(
+                len(entry.terms) for column in columns for _, entry in column))
         return columns
 
     def matrix(self, u: AlgebraElement):

@@ -14,7 +14,7 @@ the defining push-through relations hold identically in this representation.
 
 from __future__ import annotations
 
-from .scalar import Scalar
+from .scalar import Scalar, ONE
 from .freealg import AlgebraElement, _Sparse, check_index, check_terms
 from .bimodule import BimoduleMap
 
@@ -99,8 +99,10 @@ class TensorElement(_Sparse):
 def push_through(bmap: BimoduleMap, u: AlgebraElement, dword: DWord) -> "TensorElement":
     """Canonical form of ``u * dword``: the coefficient crosses every letter.
 
-    The term count is checked after each letter: on a map with several
-    terms per entry it can grow geometrically along the dword.
+    This is the one statement of a crossing; :func:`tensor_mul` calls it on
+    unit-coefficient monomials only, through the map's crossing memo.  The
+    term count is checked after each letter: on a map with several terms
+    per entry it can grow geometrically along the dword.
     """
     out = TensorElement(u.n, {(): u})
     for grade, index in dword:
@@ -113,9 +115,33 @@ def push_through(bmap: BimoduleMap, u: AlgebraElement, dword: DWord) -> "TensorE
     return out
 
 
+def _crossing(bmap: BimoduleMap, word, dword: DWord):
+    """``word * dword``, the word's coefficient 1, as (tensor word, term
+    pairs of its coefficient) pairs: read from the map's crossing memo, or
+    pushed through and stored there while the memo's budget allows.
+
+    An entry is stored compactly: a coefficient as the (word, scalar) pairs
+    of its terms, and a tensor word equal to the dword as the dword itself.
+    Callers build new elements from it and never mutate it.
+    """
+    pairs = bmap._crossings.get((word, dword))
+    if pairs is None:
+        pushed = push_through(bmap, AlgebraElement._new(bmap.n, {word: ONE}), dword)
+        pairs = bmap._crossings.store((word, dword), tuple(
+            (dword if mid == dword else mid, tuple(coeff.terms.items()))
+            for mid, coeff in pushed.terms.items()), pushed.size())
+    return pairs
+
+
 def tensor_mul(bmap: BimoduleMap, w: TensorElement, t: TensorElement) -> TensorElement:
     """Graded product; the left factor's coefficient is pushed through the
-    right factor's letters so the result is canonical again."""
+    right factor's letters so the result is canonical again.
+
+    The push is linear in the coefficient: each of its words c * u crosses
+    a nonempty right dword as the memoized crossing of u (see
+    :func:`_crossing`), times c and the right coefficient.  A right factor
+    with an empty dword needs no crossing.
+    """
     w._check_compatible(t)
     if bmap.n != w.n:
         raise ValueError(f"map has {bmap.n} generators, elements have {w.n}")
@@ -123,8 +149,10 @@ def tensor_mul(bmap: BimoduleMap, w: TensorElement, t: TensorElement) -> TensorE
     for w1, r in w.terms.items():
         for w2, s in t.terms.items():
             if w2:
-                for mid, pushed in push_through(bmap, r, w2).terms.items():
-                    out._accumulate(w1 + mid, pushed * s)
+                for u, c in r.terms.items():
+                    cs = s.scale(c)
+                    for mid, terms in _crossing(bmap, u, w2):
+                        out._accumulate(w1 + mid, AlgebraElement._new(w.n, dict(terms)) * cs)
             else:
                 out._accumulate(w1, r * s)
     check_terms(out.size())

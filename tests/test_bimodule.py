@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import dcubed.bimodule
 from dcubed.scalar import Q, Scalar
 from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import MAX_N, BimoduleMap, preset_map
@@ -206,6 +207,28 @@ def test_long_word_matrix():
     assert mat_eq(m.matrix(word), [[word, AlgebraElement.zero(2)],
                                    [AlgebraElement.zero(2), word]])
     assert list(m._word_cache) == [(), (1,), (2,), (1,) * 1500]
+
+
+def test_word_cache_budget(monkeypatch):
+    # a full cache still answers: the seeds stay, and words past the budget
+    # are pushed again without being stored
+    rng = random.Random(17)
+    words = [tuple(rng.randint(1, 2) for _ in range(rng.randint(3, 6))) for _ in range(40)]
+    make_map = NON_DIAGONAL_MAPS["twisted"]
+    expected = [make_map().matrix(x(2, *word)) for word in words]
+    monkeypatch.setattr(dcubed.bimodule, "CACHE_TERMS", 60)
+    m = make_map()
+    seeds = dict(m._word_cache)
+    for _ in range(2):
+        for word, matrix in zip(words, expected):
+            assert mat_eq(m.matrix(x(2, *word)), matrix)
+            cache = m._word_cache
+            assert cache.terms <= 60
+            assert cache.terms == sum(len(e.terms) for key, columns in cache.items()
+                                      if key not in seeds for column in columns
+                                      for _, e in column)
+    assert all(m._word_cache[word] is columns for word, columns in seeds.items())
+    assert 0 < len(m._word_cache) - len(seeds) < len(set(words))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -1,15 +1,24 @@
 import random
+from collections import Counter
 
 import pytest
 
+import dcubed.bimodule
+import dcubed.tensoralg
 from dcubed.scalar import Q
-from dcubed.freealg import AlgebraElement
+from dcubed.freealg import MAX_TERMS, AlgebraElement, TermLimitError
 from dcubed.bimodule import preset_map
+from dcubed.calculus import Calculus
+from dcubed.ideal import Ideal
 from dcubed.tensoralg import (
     TensorElement, tensor_mul, push_through, dword_grade,
 )
+from dcubed.verify import run_suite
 
-from conftest import PRESET_NAMES, random_tensor, x
+from conftest import (
+    DEGREE_ONE, NON_DIAGONAL_MAPS, PRESET_NAMES, RIGHT_ONLY_MAPS, SCALAR_DIAGONAL,
+    entry_map, quadratic_map, random_tensor, x,
+)
 
 
 def dx(n, i, coeff=None):
@@ -143,3 +152,112 @@ def test_scaling():
         e + 1
     with pytest.raises(TypeError):
         e - Q
+
+
+# -- the crossing memo ----------------------------------------------------------
+
+# every map of conftest, as a factory: a fresh call is a map with cold caches
+MAPS = {
+    **{f"{name}-{n}": (lambda name=name, n=n: preset_map(name, n))
+       for name in PRESET_NAMES for n in (2, 3)},
+    "degree-one": lambda: entry_map(DEGREE_ONE),
+    "scalar-diagonal": lambda: entry_map(SCALAR_DIAGONAL),
+    **NON_DIAGONAL_MAPS,
+    "quadratic-square": quadratic_map,
+    **RIGHT_ONLY_MAPS,
+}
+
+
+def reference_mul(bmap, w, t):
+    """w * t with each whole coefficient of w pushed through at once."""
+    out = TensorElement.zero(w.n)
+    for w1, r in w.terms.items():
+        for w2, s in t.terms.items():
+            for mid, pushed in push_through(bmap, r, w2).terms.items():
+                out = out + TensorElement.monomial(w.n, w1 + mid, pushed * s)
+    return out
+
+
+def random_pairs(n, seed, count=12):
+    rng = random.Random(seed)
+    return [(random_tensor(rng, n, max_grade=2, max_word_len=2, max_terms=3),
+             random_tensor(rng, n, max_grade=2, max_word_len=1, max_terms=2))
+            for _ in range(count)]
+
+
+def assert_memo_is_fresh(bmap, make_map):
+    """Every stored crossing and word still equals a cold computation."""
+    fresh = make_map()
+    for (word, dword), pairs in bmap._crossings.items():
+        assert {mid: dict(terms) for mid, terms in pairs} == {
+            mid: coeff.terms for mid, coeff in push_through(
+                fresh, x(bmap.n, *word), dword).terms.items()}
+    for word, columns in bmap._word_cache.items():
+        assert columns == fresh._word_columns(word)
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_warm_memo_equals_cold_and_reference(name):
+    warm = MAPS[name]()
+    n = warm.n
+    pairs = random_pairs(n, 41)
+    assert any(len(r.terms) > 1 for w, _ in pairs for r in w.terms.values())
+    for _ in range(2):  # the second round reads only memo entries
+        for w, t in pairs:
+            got = tensor_mul(warm, w, t)
+            assert got == tensor_mul(MAPS[name](), w, t)
+            assert got == reference_mul(warm, w, t)
+    assert warm._crossings
+    assert_memo_is_fresh(warm, MAPS[name])
+
+
+def test_each_crossing_is_pushed_once(monkeypatch):
+    # the member-bounded systems on the quadratic map: every (word, dword)
+    # crosses once, however many columns share it
+    calls = Counter()
+    original = dcubed.tensoralg.push_through
+
+    def counted(bmap, u, dword):
+        calls[tuple(u.terms), dword] += 1
+        return original(bmap, u, dword)
+
+    monkeypatch.setattr(dcubed.tensoralg, "push_through", counted)
+    ideal = Ideal(Calculus(quadratic_map()))
+    for key in ((2, 4), (2, 5), (3, 4)):
+        ideal._system(*key)
+    assert calls and max(calls.values()) == 1
+    assert all(len(words) == 1 for words, _ in calls)
+    assert len(ideal.calc.bmap._crossings) == len(calls)
+
+
+def test_memo_budget_bounds_stored_terms(monkeypatch):
+    monkeypatch.setattr(dcubed.bimodule, "CACHE_TERMS", 40)
+    make_map = NON_DIAGONAL_MAPS["twisted"]
+    bmap = make_map()
+    for w, t in random_pairs(2, 43, count=20):
+        assert tensor_mul(bmap, w, t) == reference_mul(make_map(), w, t)
+        memo = bmap._crossings
+        assert memo.terms <= 40
+        assert memo.terms == sum(len(terms) for pairs in memo.values() for _, terms in pairs)
+    assert bmap._crossings
+    assert_memo_is_fresh(bmap, make_map)
+
+
+def test_memo_after_a_full_suite_is_unchanged():
+    ideal = Ideal(Calculus(preset_map("commutative", 2)))
+    report = run_suite(ideal, ("all",), max_word_len=1)
+    assert report.exit_code == 0
+    assert ideal.calc.bmap._crossings
+    assert_memo_is_fresh(ideal.calc.bmap, lambda: preset_map("commutative", 2))
+
+
+def test_term_cap_counts_the_whole_coefficient():
+    # each of the 4097 words crosses dx1 to one term; together they pass the cap
+    n = 2
+    words = [tuple(1 + (k >> b & 1) for b in range(13)) for k in range(MAX_TERMS + 1)]
+    r = AlgebraElement(n, {word: 1 for word in words})
+    bmap = preset_map("commutative", n)
+    with pytest.raises(TermLimitError):
+        tensor_mul(bmap, TensorElement.of_algebra(r), dx(n, 1))
+    under = AlgebraElement(n, {word: 1 for word in words[:MAX_TERMS]})
+    assert tensor_mul(bmap, TensorElement.of_algebra(under), dx(n, 1)).size() == MAX_TERMS
