@@ -25,10 +25,15 @@ from .freealg import AlgebraElement, check_index, check_terms
 # constructor drops.
 MAX_N = 64
 
-# The most scalar terms each of a map's two caches stores beyond its seeds.
+# The most scalar terms each of the three caches stores beyond its seeds:
+# a map's word cache and crossing memo, and a calculus's gradient memo.
 # Past it a cache still answers the keys it holds, and computes the rest
-# without storing them, so a long session's memory stays bounded.
-CACHE_TERMS = 4096
+# without storing them, so a long session's memory stays bounded.  1024
+# holds every working set of the n=4 verify suite (1,024 gradient terms,
+# 440 crossing terms) and of a degree-2 membership epoch (740 crossing
+# terms), while a process that keeps a few maps alive stays small: about
+# 250 bytes a stored gradient term.
+CACHE_TERMS = 1024
 
 
 class _Cache(dict):
@@ -79,8 +84,8 @@ class BimoduleMap:
 
     Instances are immutable after construction and may be shared freely.
     They hold two caches, each bounded by :data:`CACHE_TERMS` scalar terms
-    beyond its seeds (a full cache answers what it holds and stores nothing
-    more):
+    beyond its seeds, as is the gradient memo of ``Calculus``, the third
+    (a full cache answers what it holds and stores nothing more):
 
     * the word cache maps a word w to the sparse columns of m(w).  It is
       seeded with the empty word (the identity) and the n generators (i,),

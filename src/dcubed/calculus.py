@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .freealg import AlgebraElement, check_index
-from .bimodule import BimoduleMap
+from .bimodule import BimoduleMap, _Cache
 from .tensoralg import TensorElement
 
 
@@ -29,36 +29,65 @@ class Calculus:
 
         D_k(w) = sum_p  m(w[:p])[k][w[p]] w[p+1:],
 
-    where m of the empty prefix is the identity.  The engine holds no state
-    beyond its map and may be shared freely.
+    where m of the empty prefix is the identity.  The engine holds one
+    cache, the gradient memo: a word w maps to the gradient of the unit
+    monomial w, bounded like the map's caches by
+    :data:`bimodule.CACHE_TERMS` scalar terms.  A full memo answers what it
+    holds and computes the rest without storing it, so no answer depends
+    on the memo, and the engine may be shared freely.
     """
 
-    __slots__ = ("bmap", "n")
+    __slots__ = ("bmap", "n", "_gradients")
 
     def __init__(self, bmap: BimoduleMap):
         self.bmap = bmap
         self.n = bmap.n
+        self._gradients = _Cache()
+
+    def _word_gradient(self, word):
+        """The gradient of the unit monomial ``word``: its nonzero (k, terms
+        of D_k(word)) pairs in ascending k, each D_k as its (word, scalar)
+        pairs.  Read from the gradient memo, or evaluated by the closed form
+        and stored there while the memo's budget allows.
+
+        One walk over the prefix columns evaluates the closed form: at
+        position p, each pair (k, entry) of column w[p] of m(w[:p]) adds
+        entry w[p+1:] to D_k.  Callers rescale an entry into new elements
+        and never mutate it.
+        """
+        pairs = self._gradients.get(word)
+        if pairs is None:
+            out = defaultdict(lambda: AlgebraElement.zero(self.n))
+            # zip stops at the last letter, before the product of the whole word
+            for p, (letter, columns) in enumerate(zip(word, self.bmap.prefix_columns(word))):
+                rest = word[p + 1:]
+                for k, entry in columns[letter - 1]:
+                    for u, c in entry.terms.items():
+                        out[k]._accumulate(u + rest, c)
+            pairs = tuple((k, tuple(dk.terms.items())) for k, dk in sorted(out.items()) if dk)
+            self._gradients.store(word, pairs, sum(len(terms) for _, terms in pairs))
+        return pairs
 
     def gradient(self, v: AlgebraElement):
         """All right partial derivatives of v, in the form :meth:`BimoduleMap.push`
         returns: the nonzero (k, D_k(v)) pairs in ascending k.
 
-        One walk over the prefix columns of each word evaluates the closed
-        form: at position p, each pair (k, entry) of column w[p] of m(w[:p])
-        adds entry w[p+1:] to D_k.  No prefix is cached, and a D_k that no
-        term reaches is never built, so a scalar's gradient is [].
+        The gradient is linear in v: each term coeff * w adds coeff times
+        the memoized gradient of the word w (see :meth:`_word_gradient`).
+        A D_k that no term reaches is never built, so a scalar's gradient
+        is [].
         """
         if v.n != self.n:
             raise ValueError(f"element has {v.n} generators, calculus has {self.n}")
-        out = defaultdict(lambda: AlgebraElement.zero(self.n))
+        out = {}
         for word, coeff in v.terms.items():
-            if not word:
-                continue
-            for p, columns in enumerate(self.bmap.prefix_columns(word[:-1])):
-                rest = word[p + 1:]
-                for k, entry in columns[word[p] - 1]:
-                    for u, c in entry.terms.items():
-                        out[k]._accumulate(u + rest, c * coeff)
+            for k, terms in self._word_gradient(word):
+                dk = out.get(k)
+                if dk is None:  # distinct words, nonzero products: no accumulation
+                    out[k] = AlgebraElement._new(self.n, {u: c * coeff for u, c in terms})
+                else:
+                    for u, c in terms:
+                        dk._accumulate(u, c * coeff)
         return [(k, dk) for k, dk in sorted(out.items()) if dk]
 
     def partial(self, k: int, v: AlgebraElement) -> AlgebraElement:

@@ -141,6 +141,18 @@ def quadratic_map():
     return BimoduleMap(2, gen)
 
 
+# every map above, as a factory: a fresh call is a map with cold caches
+MAPS = {
+    **{f"{name}-{n}": (lambda name=name, n=n: preset_map(name, n))
+       for name in PRESET_NAMES for n in (2, 3)},
+    "degree-one": lambda: entry_map(DEGREE_ONE),
+    "scalar-diagonal": lambda: entry_map(SCALAR_DIAGONAL),
+    **NON_DIAGONAL_MAPS,
+    "quadratic-square": quadratic_map,
+    **RIGHT_ONLY_MAPS,
+}
+
+
 def monomials(n, grade, length):
     """Every monomial letters * word of the given grade and word length."""
     letters = [(a, i) for a in (1, 2) for i in range(1, n + 1)]

@@ -15,10 +15,7 @@ from dcubed.tensoralg import (
 )
 from dcubed.verify import run_suite
 
-from conftest import (
-    DEGREE_ONE, NON_DIAGONAL_MAPS, PRESET_NAMES, RIGHT_ONLY_MAPS, SCALAR_DIAGONAL,
-    entry_map, quadratic_map, random_tensor, x,
-)
+from conftest import MAPS, NON_DIAGONAL_MAPS, PRESET_NAMES, quadratic_map, random_tensor, x
 
 
 def dx(n, i, coeff=None):
@@ -155,18 +152,6 @@ def test_scaling():
 
 
 # -- the crossing memo ----------------------------------------------------------
-
-# every map of conftest, as a factory: a fresh call is a map with cold caches
-MAPS = {
-    **{f"{name}-{n}": (lambda name=name, n=n: preset_map(name, n))
-       for name in PRESET_NAMES for n in (2, 3)},
-    "degree-one": lambda: entry_map(DEGREE_ONE),
-    "scalar-diagonal": lambda: entry_map(SCALAR_DIAGONAL),
-    **NON_DIAGONAL_MAPS,
-    "quadratic-square": quadratic_map,
-    **RIGHT_ONLY_MAPS,
-}
-
 
 def reference_mul(bmap, w, t):
     """w * t with each whole coefficient of w pushed through at once."""
