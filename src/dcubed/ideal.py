@@ -63,9 +63,6 @@ from .tensoralg import TensorElement, tensor_mul, dword_key
 from .calculus import Calculus
 from .differential import d
 
-FAMILY_GRADES = {
-    "dx_dx": 2, "dx_d2x": 3, "d2x_dx": 3, "entry_d3": 3, "d2x_d2x": 4,
-}
 
 @dataclass
 class Bounds:
@@ -132,7 +129,10 @@ class Generator:
 
     @property
     def grade(self) -> int:
-        return FAMILY_GRADES[self.family]
+        """The grade of the family in the module docstring's table, read
+        from the element itself: a generator is a nonzero residual of
+        :func:`relations`, homogeneous of its family's grade."""
+        return self.element.max_grade()
 
     def label(self) -> str:
         """The name: family(i,j), or family(i,j,k) for entry_d3."""
@@ -538,14 +538,15 @@ class Ideal:
         independent columns, one per row, in walk order.  The dwords of
         each grade a placement needs are listed once.  Every left factor of
         one generator multiplies the same products generator * right: each
-        is built once, in a dict local to that generator's loop, and
-        dropped when the walk moves on.  The echelon is cached only once
-        the walk is done, so a walk that raises caches nothing.
+        is built once by :meth:`_column`, in a dict local to that
+        generator's loop, and dropped when the walk moves on.  The echelon
+        is cached only once the walk is done, so a walk that raises caches
+        nothing.
         """
         cached = self._systems.get((grade, top))
         if cached is not None:
             return cached
-        n, bmap, cap = self.n, self.calc.bmap, self.bounds.size_cap
+        n, cap = self.n, self.bounds.size_cap
         gens = self.all_generators()
         rests = [grade - gen.grade for gen in gens]  # grade of the letters around each
         reach = max(rests, default=-1)
@@ -565,45 +566,44 @@ class Ideal:
         dwords = [_dwords_of_grade(n, g) for g in range(reach + 1)]
         echelon = _Echelon()
         for gen, rest in zip(gens, rests):
-            gen_rights = {}  # (right letters, right word) -> gen * right
+            products = {}  # (right letters, right word) -> gen * right
             for g1 in range(rest + 1):
                 for left_d, right_d in itertools.product(dwords[g1], dwords[rest - g1]):
                     for left_w, right_w in words:
-                        gen_right = gen_rights.get((right_d, right_w))
-                        if gen_right is None:
-                            right = TensorElement.monomial(
-                                n, right_d, AlgebraElement.monomial(n, right_w))
-                            gen_right = gen_rights[(right_d, right_w)] = tensor_mul(
-                                bmap, gen.element, right)
-                        product = self._left_times(left_d, left_w, gen_right)
-                        echelon.insert(_vectorize(product, self._keys),
-                                       WitnessTerm(left_d, left_w, gen, right_d, right_w, ONE))
+                        column = WitnessTerm(left_d, left_w, gen, right_d, right_w, ONE)
+                        echelon.insert(_vectorize(self._column(column, products), self._keys),
+                                       column)
         self._systems[grade, top] = echelon
         return echelon
 
-    def _left_times(self, left_dword, left_word, e) -> TensorElement:
-        """left * e, the left factor a monomial.
+    def _column(self, term, products) -> TensorElement:
+        """The product L * generator * R that term stands for, coefficient 1.
 
-        Only the left word is pushed through e; the left letters carry the
-        coefficient 1, which crosses no letter, so they are prepended to
-        every tensor word as they stand.
+        ``products`` holds generator * R of term's generator by (right
+        letters, right word): it is read from there, or built and stored.
+        Only the left word is then pushed through it; the left letters
+        carry the coefficient 1, which crosses no letter, so they are
+        prepended to every tensor word as they stand.
         """
-        n = self.n
-        if left_word:
-            left = TensorElement.of_algebra(AlgebraElement.monomial(n, left_word))
-            e = tensor_mul(self.calc.bmap, left, e)
-        if left_dword:
-            e = TensorElement._new(n, {left_dword + w: c for w, c in e.terms.items()})
+        n, bmap = self.n, self.calc.bmap
+        right = term.right_dword, term.right_word
+        e = products.get(right)
+        if e is None:
+            e = products[right] = tensor_mul(bmap, term.generator.element, TensorElement.monomial(
+                n, term.right_dword, AlgebraElement.monomial(n, term.right_word)))
+        if term.left_word:
+            left = TensorElement.of_algebra(AlgebraElement.monomial(n, term.left_word))
+            e = tensor_mul(bmap, left, e)
+        if term.left_dword:
+            e = TensorElement._new(n, {term.left_dword + w: c for w, c in e.terms.items()})
         return e
 
     def expand_witness(self, witness) -> TensorElement:
-        """Re-expand a membership witness; must reproduce the query exactly."""
-        n = self.n
-        out = TensorElement.zero(n)
+        """Re-expand a membership witness; must reproduce the query exactly.
+
+        Each term builds its own product, so no product of a system is
+        read back."""
+        out = TensorElement.zero(self.n)
         for term in witness:
-            right = TensorElement.monomial(n, term.right_dword,
-                                           AlgebraElement.monomial(n, term.right_word))
-            product = tensor_mul(self.calc.bmap, term.generator.element, right)
-            out = out + self._left_times(term.left_dword, term.left_word,
-                                         product).scale(term.coeff)
+            out = out + self._column(term, {}).scale(term.coeff)
         return out

@@ -32,11 +32,6 @@ from .differential import d, d_power
 from .ideal import Ideal, relations
 from .parsing import format_tensor, format_algebra
 
-# Check names of the congruence suite, one per generator family.
-CONGRUENCES = {"dx_dx": "dv_dx", "dx_d2x": "dv_d2x", "d2x_dx": "d2v_dx",
-               "entry_d3": "entry_d3", "d2x_d2x": "d2v_d2x"}
-
-
 # What each membership status means, as a check verdict and as a process
 # exit code; a report exits with the code of its worst verdict.
 Outcome = namedtuple("Outcome", "verdict exit_code")
@@ -212,10 +207,12 @@ def check_congruences(ideal: Ideal, v: AlgebraElement, j: int) -> list:
     """The generator relations with x^i replaced by an arbitrary element v.
 
     For v a generator the residuals coincide with the ideal generators, so
-    the oracle returns one-term witnesses.
+    the oracle returns one-term witnesses.  A check is named after its
+    family with the x of x^i read as v: ``congruence:dv_dx`` for dx_dx,
+    ``congruence:d2v_d2x`` for d2x_d2x, and ``congruence:entry_d3``.
     """
     inputs = {"v": format_algebra(v), "j": str(j)}
-    return [_membership_instance(ideal, f"congruence:{CONGRUENCES[family]}",
+    return [_membership_instance(ideal, f"congruence:{family.replace('x', 'v', 1)}",
                                  inputs if k is None else {**inputs, "k": str(k)}, residual)
             for (family, k), residual in relations(ideal.calc, v, j).items()]
 

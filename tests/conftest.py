@@ -124,6 +124,13 @@ RIGHT_ONLY_MAPS = {
 }
 
 
+# The cubic diagonal maps m(x^i) = x^i x^i x^i I at n = 1 and 2: d^3 of a
+# nonzero entry and of its partials is nonzero, so both raw generator-diff
+# identities have nonzero sides.
+CUBIC_MAPS = {f"cubic-{n}": (lambda n=n: diagonal_map([x(n, i, i, i) for i in range(1, n + 1)]))
+              for n in (1, 2)}
+
+
 def generator(ideal, family, i, j, k=None):
     """The ideal's own Generator keyed (family, i, j, k), from its table."""
     [gen] = [g for g in ideal.all_generators()
@@ -150,6 +157,7 @@ MAPS = {
     **NON_DIAGONAL_MAPS,
     "quadratic-square": quadratic_map,
     **RIGHT_ONLY_MAPS,
+    **CUBIC_MAPS,
 }
 
 

@@ -29,12 +29,24 @@ def test_diff_first_order(capsys):
     assert out.strip() == "dx1"
 
 
-def test_diff_third_order_of_generator_mod_ideal(capsys):
-    code, out, _ = run(capsys, "diff", "-k", "3", "x1", "--mod-ideal")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "0"
-    assert lines[1] == "member of I_q"
+@pytest.mark.parametrize("k, expr, flags, expected, lines", [
+    ("3", "x1", (), 0, ["0", "member of I_q"]),
+    ("1", "x1 x2", (), 1, ["dx1 * x2 + dx2 * x1",
+                           "not a member of I_q at the given bounds",
+                           "residual: dx1 * x2 + dx2 * x1"]),
+    ("2", "x1 x2", ("--size-cap", "1"), 3, [
+        "dx1 (*) dx2 * q + dx2 (*) dx1 * q + d2x1 * x2 + d2x2 * x1",
+        "membership inconclusive: spanning set for grade 2, word degree 0 "
+        "exceeds the size cap 1"]),
+    ("1", "y1", (), 2, ["error: unknown name 'y1' (at position 0)"]),
+    ("1", "d(x1", (), 2, ["error: expected ')' (at position 4)"]),
+], ids=["member", "not-member", "inconclusive", "unknown-name", "unclosed"])
+def test_diff_mod_ideal_text(capsys, k, expr, flags, expected, lines):
+    # the result, then the verdict; an expression that does not parse
+    # prints one error line instead
+    code, out, err = run(capsys, "diff", "-k", k, expr, "--mod-ideal", *flags)
+    assert code == expected
+    assert (out + err).splitlines() == lines
 
 
 def test_diff_third_order_of_word(capsys):
@@ -402,6 +414,27 @@ def test_config_validation_exit_code(capsys, tmp_path, doc):
     code, _, err = run(capsys, "member", "dx1 (*) dx1", "--config", str(path))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "config document must be a JSON object"),
+    ('{"preset": "commutative", "bounds": 3}', "bounds must be a JSON object"),
+    ('{"n": 2}', "either a preset or xi_entries must be given"),
+    ('{"n": 1, "xi_entries": [[[1]]]}', "xi_entries[0][0][0] must be an expression string"),
+    ('{"preset": "commutative", "format": "xml"}', "format must be one of"),
+    ('{"preset": "commutative",', "config is not valid JSON: "),
+    (None, "cannot read config file: "),
+], ids=["not-an-object", "bounds-not-an-object", "no-map", "entry-not-a-string",
+        "unknown-format", "invalid-json", "missing-file"])
+def test_config_rejection_exit_code(capsys, tmp_path, text, message):
+    path = tmp_path / "session.json"
+    if text is not None:  # None: no file at all
+        path.write_text(text)
+    code, out, err = run(capsys, "diff", "x1", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
 
 
 def test_negative_word_bound_flag_exit_code(capsys):

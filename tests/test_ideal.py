@@ -15,7 +15,7 @@ from dcubed.config import SessionConfig, build_map
 from dcubed.tensoralg import TensorElement, dword_key, tensor_mul
 from dcubed.differential import d, d_power
 from dcubed import ideal as ideal_module
-from dcubed.ideal import Bounds, Ideal, FAMILY_GRADES, WitnessTerm, _Echelon, relations
+from dcubed.ideal import Bounds, Ideal, WitnessTerm, _Echelon, relations
 from dcubed.parsing import parse_expression
 
 from conftest import (
@@ -80,9 +80,20 @@ def test_constant_preset_degenerate_families():
             assert gens["d2x_d2x", None] == mono(2, ((2, i), (2, j)))
 
 
+def test_every_entry_checks_the_generator_count(commutative_ideal):
+    calc, v = commutative_ideal.calc, x(3, 1)
+    for call, arg in [(lambda u: calc.bmap.push(u, 1), v), (calc.gradient, v),
+                      (lambda w: d(calc, w), TensorElement.of_algebra(v)),
+                      (commutative_ideal.membership, TensorElement.of_letter(3, 1, 1))]:
+        with pytest.raises(ValueError, match=r"element has 3 generators, \w+ has 2"):
+            call(arg)
+
+
 def test_generator_grades(preset_ideal):
+    # the grades of the module docstring's table
+    grades = {"dx_dx": 2, "dx_d2x": 3, "d2x_dx": 3, "entry_d3": 3, "d2x_d2x": 4}
     for gen in preset_ideal.all_generators():
-        assert gen.element.homogeneous_grade() == FAMILY_GRADES[gen.family]
+        assert gen.element.homogeneous_grade() == gen.grade == grades[gen.family]
     listing = relations(preset_ideal.calc, x(2, 1), 2)
     assert [family for family, _ in listing] == [
         "dx_dx", "dx_d2x", "d2x_dx", "entry_d3", "entry_d3", "d2x_d2x"]

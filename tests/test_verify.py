@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -7,14 +8,15 @@ from dcubed.freealg import AlgebraElement
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement
+from dcubed.differential import d
 from dcubed import verify
-from dcubed.ideal import Bounds, Ideal
+from dcubed.ideal import Bounds, Ideal, relations
 from dcubed.verify import (
     check_q_leibniz, check_d3, check_congruences, check_d2_binomial,
     check_generator_diffs, run_suite, SUITES,
 )
 
-from conftest import PRESET_NAMES, RIGHT_ONLY_MAPS, SMALL_SCALARS, generator, x
+from conftest import CUBIC_MAPS, PRESET_NAMES, RIGHT_ONLY_MAPS, SMALL_SCALARS, generator, x
 
 
 @pytest.fixture(params=PRESET_NAMES)
@@ -142,6 +144,22 @@ def test_generator_diffs(preset_ideal):
             for inst in check_generator_diffs(preset_ideal, i, j):
                 assert inst.verdict == "pass", (inst.check, inst.inputs,
                                                 inst.residual)
+
+
+@pytest.mark.parametrize("name", CUBIC_MAPS)
+def test_generator_diffs_with_nonzero_expected_sides(name):
+    ideal = Ideal(Calculus(CUBIC_MAPS[name]()), Bounds(word_bound=0))
+    calc, n = ideal.calc, ideal.n
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        for inst in check_generator_diffs(ideal, i, j):
+            assert inst.verdict == "pass", (inst.check, inst.inputs, inst.residual)
+        rels = relations(calc, x(n, i), j)
+        for k in range(1, n + 1):
+            # each entry_d3 check passed raw, so d of its residual is the
+            # expected side sum_l dx^l (x) d^3(D_l(e_k)); d2x_d2x's is built
+            # from the residuals d^3(e_k) themselves
+            assert d(calc, rels["entry_d3", k]).size() == (106 if k == j else 0)
+            assert rels["entry_d3", k].is_zero == (k != j)
 
 
 def test_run_suite_all_passes(preset_ideal, monkeypatch):
