@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 from .scalar import Scalar, ZERO, ONE, Q, q_power
 from .freealg import AlgebraElement, word_key
-from .tensoralg import TensorElement, tensor_mul, dword_key
+from .tensoralg import TensorElement, tensor_mul, dword_key, letter_sum, prefixed
 from .calculus import Calculus
 from .differential import d
 
@@ -85,37 +85,30 @@ def relations(calc: Calculus, v: AlgebraElement, j: int) -> dict:
     "entry_d3", one residual d^3(m(v)[k][j]) per k = 1..n, so every key is
     present on every map.  For v = x^i the nonzero residuals are the ideal
     generators attached to (i, j) (see :meth:`Ideal.all_generators`), and
-    the checks read the whole dict.  Only the nonzero entries that
-    ``push(v, j)`` returns are differentiated; every other e_k contributes
-    nothing to the sums, and its "entry_d3" residual is a fresh zero.
+    the checks read the whole dict.
+
+    The entries e_k are the nonzero pairs ``push(v, j)`` returns; d, d^2
+    and d^3 of them are taken once each, as the families d1, d2 and d3 of
+    (k, d^a(e_k)) pairs.  Each row is then written as the table writes it,
+    each ``sum_k d^a x^k (x) d^b(e_k)`` the :func:`letter_sum` of grade a
+    over the family db.  An e_k that is not pushed contributes nothing to
+    the sums, and its "entry_d3" residual is a fresh zero.
     """
     n, bmap = calc.n, calc.bmap
     dv = d(calc, TensorElement.of_algebra(v))
     d2v = d(calc, dv)
-    entry_diffs = {}  # per pushed k: (d e_k, d^2 e_k, d^3 e_k)
-    for k, e in bmap.push(v, j):
-        d1 = d(calc, TensorElement.of_algebra(e))
-        d2 = d(calc, d1)
-        entry_diffs[k] = (d1, d2, d(calc, d2))
-
-    def summed(grade, order):
-        """sum_k d^grade x^k (x) d^order(e_k)."""
-        out = TensorElement(n)
-        for k, diffs in entry_diffs.items():
-            for w, c in diffs[order - 1].terms.items():
-                out._accumulate(((grade, k),) + w, c)
-        return out
-
+    d1 = [(k, d(calc, TensorElement.of_algebra(e))) for k, e in bmap.push(v, j)]
+    d2 = [(k, d(calc, e)) for k, e in d1]
+    d3 = {k: d(calc, e) for k, e in d2}
     dx_j = TensorElement.of_letter(n, 1, j)
     d2x_j = TensorElement.of_letter(n, 2, j)
     return {
-        ("dx_dx", None): tensor_mul(bmap, dv, dx_j) - summed(1, 1).scale(Q),
-        ("dx_d2x", None): tensor_mul(bmap, dv, d2x_j) - summed(2, 1).scale(q_power(2)),
-        ("d2x_dx", None): (tensor_mul(bmap, d2v, dx_j) + summed(2, 1).scale(ONE - Q)
-                           - summed(1, 2).scale(q_power(2))),
-        **{("entry_d3", k): entry_diffs[k][2] if k in entry_diffs else TensorElement.zero(n)
-           for k in range(1, n + 1)},
-        ("d2x_d2x", None): tensor_mul(bmap, d2v, d2x_j) - summed(2, 2).scale(Q),
+        ("dx_dx", None): tensor_mul(bmap, dv, dx_j) - letter_sum(n, 1, d1).scale(Q),
+        ("dx_d2x", None): tensor_mul(bmap, dv, d2x_j) - letter_sum(n, 2, d1).scale(q_power(2)),
+        ("d2x_dx", None): (tensor_mul(bmap, d2v, dx_j) + letter_sum(n, 2, d1).scale(ONE - Q)
+                           - letter_sum(n, 1, d2).scale(q_power(2))),
+        **{("entry_d3", k): d3.get(k, TensorElement.zero(n)) for k in range(1, n + 1)},
+        ("d2x_d2x", None): tensor_mul(bmap, d2v, d2x_j) - letter_sum(n, 2, d2).scale(Q),
     }
 
 
@@ -582,8 +575,7 @@ class Ideal:
         ``products`` holds generator * R of term's generator by (right
         letters, right word): it is read from there, or built and stored.
         Only the left word is then pushed through it; the left letters
-        carry the coefficient 1, which crosses no letter, so they are
-        prepended to every tensor word as they stand.
+        carry the coefficient 1, so they are :func:`prefixed` as they stand.
         """
         n, bmap = self.n, self.calc.bmap
         right = term.right_dword, term.right_word
@@ -595,7 +587,7 @@ class Ideal:
             left = TensorElement.of_algebra(AlgebraElement.monomial(n, term.left_word))
             e = tensor_mul(bmap, left, e)
         if term.left_dword:
-            e = TensorElement._new(n, {term.left_dword + w: c for w, c in e.terms.items()})
+            e = prefixed(term.left_dword, e)
         return e
 
     def expand_witness(self, witness) -> TensorElement:

@@ -64,17 +64,16 @@ class Scalar:
 
     @staticmethod
     def coerce(value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, SCALAR_TYPES):
-            return Scalar(value)
-        raise TypeError(f"cannot interpret {value!r} as a scalar")
+        """``value`` as a Scalar by the operand rule (see :func:`_operand`);
+        anything else raises ``TypeError``."""
+        out = value if value.__class__ is Scalar else _operand(value)
+        if out is None:
+            raise TypeError(f"cannot interpret {value!r} as a scalar")
+        return out
 
     def __add__(self, other):
-        if other.__class__ is not Scalar:
-            if not isinstance(other, SCALAR_TYPES):
-                return NotImplemented
-            other = Scalar(other)
+        if other.__class__ is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
         d1, d2 = self.D, other.D
         if d1 == d2:
             return Scalar._make(self.A + other.A, self.B + other.B, d1)
@@ -84,10 +83,8 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not Scalar:
-            if not isinstance(other, SCALAR_TYPES):
-                return NotImplemented
-            other = Scalar(other)
+        if other.__class__ is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
         d1, d2 = self.D, other.D
         if d1 == d2:
             return Scalar._make(self.A - other.A, self.B - other.B, d1)
@@ -95,9 +92,8 @@ class Scalar:
                             self.B * d2 - other.B * d1, d1 * d2)
 
     def __rsub__(self, other):
-        if not isinstance(other, SCALAR_TYPES):
-            return NotImplemented
-        return Scalar.coerce(other) - self
+        other = _operand(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
         return Scalar._make(-self.A, -self.B, self.D)
@@ -105,10 +101,8 @@ class Scalar:
     def __mul__(self, other):
         # (A1 + B1 q)(A2 + B2 q) = A1 A2 + (A1 B2 + A2 B1) q + B1 B2 q^2,
         # then q^2 = -1 - q; the denominators multiply.
-        if other.__class__ is not Scalar:
-            if not isinstance(other, SCALAR_TYPES):
-                return NotImplemented
-            other = Scalar(other)
+        if other.__class__ is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
         a1, b1, a2, b2 = self.A, self.B, other.A, other.B
         cross = b1 * b2
         return Scalar._make(a1 * a2 - cross, a1 * b2 + a2 * b1 - cross,
@@ -144,10 +138,8 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        if other.__class__ is not Scalar:
-            if not isinstance(other, SCALAR_TYPES):
-                return NotImplemented
-            other = Scalar(other)
+        if other.__class__ is not Scalar and (other := _operand(other)) is None:
+            return NotImplemented
         return self.A == other.A and self.B == other.B and self.D == other.D
 
     def __hash__(self):
@@ -170,6 +162,20 @@ class Scalar:
 # Scalar comes first: a check against Fraction goes through its ABC
 # metaclass, which is slow, and most operands are Scalars.
 SCALAR_TYPES = (Scalar, int, Fraction)
+
+
+def _operand(value):
+    """The one operand rule of Q(q): ``value`` as a Scalar when it is one
+    of SCALAR_TYPES (an int or a Fraction is promoted), else None.
+
+    The arithmetic operators and :meth:`Scalar.coerce` read it; ``+``,
+    ``-``, ``*``, ``==`` and ``coerce`` test for a Scalar inline first, so
+    a Scalar operand, the common case, makes no call here.
+    """
+    if isinstance(value, Scalar):
+        return value
+    return Scalar(value) if isinstance(value, SCALAR_TYPES) else None
+
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

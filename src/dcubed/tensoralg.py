@@ -96,6 +96,24 @@ class TensorElement(_Sparse):
         return format_tensor(self)
 
 
+def prefixed(letters: DWord, e: TensorElement) -> TensorElement:
+    """``letters * e``, the letters with coefficient 1: that coefficient
+    crosses no letter, so they are prepended to every tensor word of e as
+    they stand."""
+    return TensorElement._new(e.n, {letters + w: c for w, c in e.terms.items()})
+
+
+def letter_sum(n: int, grade: int, family) -> TensorElement:
+    """``sum_k d^grade x^k (x) X_k`` over the (k, X_k) pairs of an indexed
+    family, its k distinct, as :meth:`BimoduleMap.push` and
+    ``Calculus.gradient`` return them.  Each summand is :func:`prefixed` by
+    its own letter, so no two summands share a tensor word."""
+    terms = {}
+    for k, e in family:
+        terms.update(prefixed(((grade, k),), e).terms)
+    return TensorElement._new(n, terms)
+
+
 def push_through(bmap: BimoduleMap, u: AlgebraElement, dword: DWord) -> "TensorElement":
     """Canonical form of ``u * dword``: the coefficient crosses every letter.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .scalar import q_power, q_integer
 from .freealg import AlgebraElement
-from .tensoralg import TensorElement, tensor_mul
+from .tensoralg import TensorElement, letter_sum, tensor_mul
 from .differential import d, d_power
 from .ideal import Ideal, relations
 from .parsing import format_tensor, format_algebra
@@ -155,7 +155,7 @@ class SuiteReport:
 
 def _membership_instance(ideal, check, inputs, residual) -> CheckInstance:
     if residual.is_zero:
-        return CheckInstance(check, inputs, "raw", "pass", witness=[])
+        return _raw_instance(check, inputs, residual)
     verdict = ideal.membership(residual)
     outcome = OUTCOMES[verdict.status].verdict
     if verdict.is_member:
@@ -234,9 +234,10 @@ def check_d2_binomial(ideal: Ideal, u: AlgebraElement,
 def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
     """d-compatibility at the generator level.
 
-    The two top families satisfy exact identities: the differential of an
-    entry_d3 generator is sum_l dx^l (x) d^3(D_l(entry)), and the
-    differential of a d2x_d2x generator is -sum_k d^2x^k (x) d^3(entry).
+    The two top families satisfy exact identities, each expected side a
+    :func:`letter_sum`: the differential of an entry_d3 generator is
+    sum_l dx^l (x) d^3(D_l(entry)), and the differential of a d2x_d2x
+    generator is -sum_k d^2x^k (x) d^3(entry).
     The differentials of the three lower families are oracle memberships.
     Every residual of :func:`relations` at x^i is checked, a zero one too,
     so the instances of a pair are the same on every map.
@@ -247,18 +248,13 @@ def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
     out = []
 
     for k in range(1, n + 1):
-        expected = TensorElement.zero(n)
-        for l, dl in calc.gradient(calc.bmap.entry(i, j, k)):
-            for w, c in d_power(calc, TensorElement.of_algebra(dl), 3).terms.items():
-                expected._accumulate(((1, l),) + w, c)
+        expected = letter_sum(n, 1, [(l, d_power(calc, TensorElement.of_algebra(dl), 3))
+                                     for l, dl in calc.gradient(calc.bmap.entry(i, j, k))])
         out.append(_raw_instance("generator-diff:entry_d3",
                                  {**inputs, "k": str(k)},
                                  d(calc, rels["entry_d3", k]) - expected))
 
-    expected = TensorElement.zero(n)
-    for k in range(1, n + 1):
-        for w, c in rels["entry_d3", k].terms.items():
-            expected._accumulate(((2, k),) + w, -c)
+    expected = -letter_sum(n, 2, [(k, rels["entry_d3", k]) for k in range(1, n + 1)])
     out.append(_raw_instance("generator-diff:d2x_d2x", inputs,
                              d(calc, rels["d2x_d2x", None]) - expected))
 

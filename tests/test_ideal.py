@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -391,6 +392,12 @@ def test_system_walks_its_closed_form_count(name, grade, top, monkeypatch):
     assert len(calls) == columns > 0
 
 
+# The minimal leading dwords of the letter systems (g, 0), g = 2..6: the
+# pivot dwords with no proper contiguous factor that is itself a pivot
+# dword, counted by letter count
+MINIMAL_LEADS = {"permutation": {2: 29, 3: 5}, "twist": {2: 31, 3: 2}}
+
+
 # dim Omega_{g,0} = |dwords of grade g| - rank of the letter system (g, 0),
 # g = 2..6, on the two maps of RIGHT_ONLY_MAPS
 @pytest.mark.parametrize("name, dims", [("permutation", [5, 4, 4, 3, 4]),
@@ -398,8 +405,16 @@ def test_system_walks_its_closed_form_count(name, grade, top, monkeypatch):
 def test_letter_quotient_dimensions(name, dims):
     ideal = Ideal(Calculus(RIGHT_ONLY_MAPS[name]()))
     assert ideal._right_only
-    assert [len(ideal_module._dwords_of_grade(3, g)) - len(ideal._system(g, 0).rows)
-            for g in range(2, 7)] == dims
+    systems = {g: ideal._system(g, 0) for g in range(2, 7)}
+    assert [len(ideal_module._dwords_of_grade(3, g)) - len(system.rows)
+            for g, system in systems.items()] == dims
+    # a pivot key begins with its dword's key: (grade, grades, indices)
+    leads = {tuple(zip(grades, indices))
+             for system in systems.values() for (_, grades, indices), _ in system.rows}
+    minimal = [w for w in leads
+               if not any(w[a:b] in leads for a in range(len(w))
+                          for b in range(a + 1, len(w) + 1) if b - a < len(w))]
+    assert Counter(map(len, minimal)) == MINIMAL_LEADS[name]
 
 
 def test_membership_word_bound_limits():

@@ -103,3 +103,18 @@ def test_constructor_rejects_floats_and_strings():
     for parts in ((0.1,), (1, 0.5), ("1/2",)):
         with pytest.raises(TypeError):
             Scalar(*parts)
+
+
+def test_mixed_operands():
+    # an int or a Fraction on either side is promoted; anything else is refused
+    assert 1 - Q == Scalar(1, -1)
+    assert 2 + Q == Scalar(2, 1)
+    assert Fraction(1, 2) * Q == Scalar(0, Fraction(1, 2))
+    assert 2 / Scalar(4) == Scalar(Fraction(1, 2))
+    assert Scalar(3) == 3
+    assert (Q == "q") is False
+    assert (Scalar(1) == 1.0) is False
+    for op in (lambda: Q + 0.5, lambda: 0.5 - Q, lambda: Q - "x", lambda: Q / "x",
+               lambda: "x" / Q, lambda: Scalar.coerce("q")):
+        with pytest.raises(TypeError):
+            op()

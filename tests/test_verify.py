@@ -250,3 +250,12 @@ def test_suite_text_mentions_failures(monkeypatch):
     report = run_suite(ideal, ("d3",), max_word_len=2)
     assert report.exit_code == 3
     assert "INCONCLUSIVE" in report.to_text()
+    # break d by adding the identity: the raw q-Leibniz instances then fail
+    monkeypatch.setattr(verify, "d", lambda calc, w: d(calc, w) + w)
+    ideal = Ideal(Calculus(preset_map("commutative", 2)))
+    report = run_suite(ideal, ("q-leibniz",), max_word_len=2)
+    assert report.exit_code == 1
+    assert "FAIL [raw] q-leibniz" in report.to_text()
+    inst = check_q_leibniz(ideal, dx(1), grade0(x(2, 2)))
+    assert (inst.tier, inst.verdict, inst.note, inst.residual) \
+        == ("raw", "fail", "identity expected to hold raw", "-dx1 * q*x2")
