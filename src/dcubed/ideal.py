@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .scalar import Scalar, ZERO, ONE, Q, q_power
 from .freealg import AlgebraElement, word_key
@@ -302,29 +302,6 @@ class _Echelon:
 _EMPTY_WORD = word_key(())
 
 
-def _express_by_words(system, blocks):
-    """Express the blocks {word key: letters-only vector} of one bidegree
-    of a right-only map against its letter system (see
-    :meth:`Ideal.membership`).
-
-    Returns ``(witness terms, None)``, ordered by (column index, word), or
-    ``(None, remainder)`` with each failed block's word restored.
-    """
-    terms, rest = [], {}
-    for wkey, block in blocks.items():
-        combo, remainder = system.express(block)
-        if combo is not None:
-            terms.extend((index, wkey[1], coeff) for index, coeff in combo)
-        else:
-            rest.update(((dkey, wkey), coeff) for (dkey, _), coeff in remainder.items())
-    if rest:
-        return None, rest
-    terms.sort(key=lambda term: term[:2])
-    columns = system.columns
-    return [replace(columns[index], right_word=word, coeff=coeff)
-            for index, word, coeff in terms], None
-
-
 def _grade_vectors(grade: int):
     """The tuples of letter grades (1 or 2) summing to grade, in
     lexicographic order."""
@@ -359,15 +336,16 @@ class Ideal:
         self._keys = {}  # interned vector keys, see _vectorize
         # The oracle's plan, from one walk over the map.  Degrees {1}: every
         # coefficient push preserves word degree, so the tensor algebra is
-        # bigraded by (grade, word degree).  Degrees {0}: every entry is a
+        # bigraded by (grade, word degree).  Degrees {0}, or none on the
+        # zero map, whose entries are all the scalar 0: every entry is a
         # scalar, and the ideal is the span of all dwords of at least two
         # letters, graded too.  Either way each bidegree is spanned exactly.
-        # Any other set, the empty one of a zero map included, takes the
-        # bounded sweep, whose per-query word bound adds ``_slack``.
+        # Any other set takes the bounded sweep, whose per-query word bound
+        # adds ``_slack``.
         degrees = calc.bmap.entry_degrees()
-        self._graded = degrees in ({0}, {1})
-        self._right_only = degrees == {0} or (
+        self._right_only = degrees <= {0} or (
             degrees == {1} and calc.bmap.is_scalar_diagonal())
+        self._graded = self._right_only or degrees == {1}
         self._slack = max(degrees, default=0)
 
     # -- generators ----------------------------------------------------------
@@ -404,21 +382,30 @@ class Ideal:
         failed part, and a size-cap verdict names the system refused.
 
         e is vectorized once.  Each key starts with its term's grade and
-        word degree, so one pass over the keys splits e into the systems
-        it meets: one per bidegree (grade, word degree) on the graded
-        path, one per grade at the word bound on the bounded path.
+        word degree, so one pass over the keys splits e into parts keyed
+        (grade, top), one per system it meets: one per bidegree (grade,
+        word degree) on the graded path, one per grade at the word bound
+        on the bounded path.  A part maps a right word's key to a block.
+        On a right-only map there is a block per coefficient word, re-keyed
+        to the empty word (see below); on every other map there is one
+        block under the empty word, the part as it stands.  One loop then
+        expresses every block against the part's system: a witness term's
+        right word is its column's followed by the block's, a part's terms
+        sort by (column index, word), and a failed block's remainder gets
+        the block's word back on its keys.
 
         On a right-only map (degree 0, or degree 1 and scalar-diagonal)
-        a bidegree (g, w) splits further by coefficient word, and each
-        block reduces against the one letter system (g, 0).  Degree 0:
-        scalar entries have zero derivatives, so every generator is a bare
-        two-letter dword (entry_d3 vanishes) and a left word crosses
-        letters as scalars.  Degree 1, scalar-diagonal (every m(x^i) is p_i
-        times the identity): let phi be the endomorphism x^i -> p_i; then
-        m(u) = phi(u) I, so u * d^a x^j = d^a x^j * phi(u).  Entries of
-        degree 1 have scalar derivatives, so again every generator is a
-        two-letter dword with scalar coefficients, and a left word w
-        crosses it and the right letters R_d whole:
+        each block of a bidegree (g, w) reduces against the one letter
+        system (g, 0), which :meth:`_system` gives for (g, w).  Degree 0,
+        the zero map included: scalar entries, 0 or not, have zero
+        derivatives, so every generator is a bare two-letter dword
+        (entry_d3 vanishes) and a left word crosses letters as scalars.
+        Degree 1, scalar-diagonal (every m(x^i) is p_i times the
+        identity): let phi be the endomorphism x^i -> p_i; then m(u) =
+        phi(u) I, so u * d^a x^j = d^a x^j * phi(u).  Entries of degree 1
+        have scalar derivatives, so again every generator is a two-letter
+        dword with scalar coefficients, and a left word w crosses it and
+        the right letters R_d whole:
 
             L_d w g R_d v  =  L_d g R_d phi^k(w) v,      k = 2 + |R_d|.
 
@@ -443,46 +430,55 @@ class Ideal:
         if direct is not None:
             return Verdict("member", witness=[direct])
 
-        top, letters = None, self._right_only
+        top = None
         if not self._graded:
             top = self.bounds.word_bound
             if top is None:
                 top = max(wkey[0] for _, wkey in vec) + self._slack
         axis = "word degree" if top is None else "word bound"
-        components = {}  # (grade, top) -> the part of vec in that system
-        if letters:  # the part is {word key: its block, keyed to the empty word}
-            blocks = {}
+        parts = {}  # (grade, top) -> {right word key: block}
+        if self._right_only:  # a block per coefficient word, keyed to the empty word
             for (dkey, wkey), coeff in vec.items():
-                blocks.setdefault((dkey[0], wkey), {})[dkey, _EMPTY_WORD] = coeff
-            for (grade, wkey), block in blocks.items():
-                components.setdefault((grade, wkey[0]), {})[wkey] = block
-        else:
+                blocks = parts.setdefault((dkey[0], wkey[0]), {})
+                blocks.setdefault(wkey, {})[dkey, _EMPTY_WORD] = coeff
+        else:  # one block per part: its vector as it stands
             for key, coeff in vec.items():
                 dkey, wkey = key
-                components.setdefault((dkey[0], wkey[0] if top is None else top), {})[key] = coeff
+                part = dkey[0], wkey[0] if top is None else top
+                blocks = parts.get(part)
+                if blocks is None:
+                    blocks = parts[part] = {_EMPTY_WORD: {}}
+                blocks[_EMPTY_WORD][key] = coeff
 
-        # One loop for every component: below grade 2 the system is empty,
-        # so the whole component is its remainder.
+        # One loop for every block: below grade 2 the system is empty, so
+        # the whole block is its remainder.
         witness, rest, details = [], {}, []
-        for grade, top in sorted(components):
-            system = self._system(grade, 0 if letters else top)
+        for grade, top in sorted(parts):
+            system = self._system(grade, top)
             if system is None:
                 return Verdict("bound_exceeded", detail=(
                     f"spanning set for grade {grade}, {axis} {top} exceeds the "
                     f"size cap {self.bounds.size_cap}"))
-            part = components[grade, top]
-            if letters:
-                terms, remainder = _express_by_words(system, part)
-            else:
-                terms, remainder = system.express(part)
-                if terms is not None:
-                    columns = system.columns
-                    terms = [replace(columns[index], coeff=coeff) for index, coeff in terms]
-            if terms is None:
-                rest.update(remainder)
+            terms, failed = [], False
+            for wkey, block in parts[grade, top].items():
+                combo, remainder = system.express(block)
+                if combo is None:  # a re-keyed block gets its word back
+                    failed = True
+                    rest.update(remainder if wkey == _EMPTY_WORD else
+                                {(dkey, wkey): coeff for (dkey, _), coeff in remainder.items()})
+                else:
+                    word = wkey[1]
+                    for index, coeff in combo:
+                        terms.append((index, word, coeff))
+            if failed:
                 details.append(f"irreducible remainder at grade {grade}, {axis} {top}")
-            else:
-                witness.extend(terms)
+                continue
+            terms.sort()  # by (column index, word): no two terms share both
+            columns = system.columns
+            for index, word, coeff in terms:  # the column, scaled, with the word on its right
+                c = columns[index]
+                witness.append(WitnessTerm(c.left_dword, c.left_word, c.generator,
+                                           c.right_dword, c.right_word + word, coeff))
         if rest:
             return Verdict("not_member_at_bound", residual=_devectorize(rest, self.n),
                            detail="; ".join(details))
@@ -512,17 +508,20 @@ class Ideal:
     def _system(self, grade, top):
         """Echelon basis of the span of the columns keyed (grade, top).
 
+        On a right-only map a bidegree (grade, w) is n^w copies of the
+        letter system (grade, 0), so that is the system it gets (see
+        :meth:`membership`); only word degree 0 is ever built there.
+
         Counted first, in closed form.  A dword is a string of letters of
         grade 1 or 2, so there are c_0 = 1, c_1 = n and c_g = n (c_{g-1} +
         c_{g-2}) of grade g; a generator of grade h has the sum over g1 of
         c_{g1} c_{grade-h-g1} placements of left and right letters, each
         met by every (left, right) word pair: those of total length top on
-        the graded path (a left word can add rank on a degree-1 map; a
-        right-only map only ever builds top 0, see :meth:`membership`), of
-        every total up to the word bound top on the bounded one.  A system
-        of more than ``Bounds.size_cap`` columns is refused (None) before
-        any dword or product is built; it is 0 columns without placements,
-        whatever the word bound.
+        the graded path (a left word can add rank on a degree-1 map that
+        is not right-only), of every total up to the word bound top on the
+        bounded one.  A system of more than ``Bounds.size_cap`` columns is
+        refused (None) before any dword or product is built; it is 0
+        columns without placements, whatever the word bound.
 
         Then one generator-major walk: for each generator, each placement,
         and each word pair.  Every column goes to :meth:`_Echelon.insert`
@@ -536,6 +535,7 @@ class Ideal:
         is cached only once the walk is done, so a walk that raises caches
         nothing.
         """
+        top = 0 if self._right_only else top
         cached = self._systems.get((grade, top))
         if cached is not None:
             return cached

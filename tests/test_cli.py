@@ -14,7 +14,7 @@ from dcubed.cli import main
 from dcubed.freealg import MAX_TERMS
 from dcubed.parsing import format_algebra
 
-from conftest import NON_DIAGONAL_MAPS, PRESET_NAMES, quadratic_map
+from conftest import DEGREE_ONE, NON_DIAGONAL_MAPS, PRESET_NAMES, quadratic_map
 
 
 def run(capsys, *argv):
@@ -259,6 +259,39 @@ def test_verify_json_is_pinned(capsys, preset, n):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[(preset, n)]
 
 
+# sha256 of `member --format json` stdout, with its exit code, for queries
+# whose parts hold several blocks or whose grade meets several systems
+MEMBER_JSON_SHA256 = {
+    # commutative: two failing blocks in one part, residual d2x1 * (x1 + x2)
+    ("d2x1 x1 + d2x1 x2", False):
+        (1, "0d465e4bfe21d9dbcb8072bce337353e97aa4a6b747f15de4b1f4ece681353c0"),
+    # a member block and a failing one in one part, residual d2x1 * (1 + x1)
+    ("dx1 dx1 x2 + d2x1 x1 + d2x1", False):
+        (1, "427c7976835a0f84c3634121bbf86b8bee28a7408bc1c01fa304bf83e0c2907d"),
+    # the witness interleaves words by column index
+    ("dx1 dx2 x2 - q dx2 dx1 x2 + dx2 dx1 x1 - q dx1 dx2 x1 + dx1 dx1 x1", False):
+        (0, "908172ad335e723510d69a906f4b9f8301338b82eebf5bd19cc038b4f1c0fa20"),
+    # DEGREE_ONE, not right-only: word degrees 0 and 1 of grade 2, both
+    # members, then a failing word degree 1 whose residual keeps its word
+    ("dx1 dx2 - q dx2 dx1 + dx2 dx2 x1", True):
+        (0, "b4a63985b9fd6d1eee1bdba74ce1217f00f8692fa330f3caf92c0280edfd39bf"),
+    ("dx1 dx2 - q dx2 dx1 + dx1 dx1 x2", True):
+        (1, "6ee9db61f84c80942597fee5d1a5da3fab3383f69466790c9b822d0b68c9af88"),
+}
+
+
+@pytest.mark.parametrize("query, degree_one", MEMBER_JSON_SHA256)
+def test_member_json_is_pinned(capsys, tmp_path, query, degree_one):
+    flags = ()
+    if degree_one:
+        path = tmp_path / "degree-one.json"
+        path.write_text(json.dumps({"n": 2, "xi_entries": DEGREE_ONE}))
+        flags = ("--config", str(path))
+    code, out, _ = run(capsys, "member", query, "--format", "json", *flags)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        MEMBER_JSON_SHA256[query, degree_one]
+
+
 def test_config_file_roundtrip(capsys, tmp_path):
     commutative_entries = [
         [[f"x{i}" if j == k else "0" for k in (1, 2)] for j in (1, 2)]
@@ -326,6 +359,18 @@ def test_word_bound_leaves_graded_verify_unchanged(capsys, preset):
     code, plain, _ = run(capsys, *argv)
     assert run(capsys, *argv, "--word-bound", "0") == (code, plain, "")
     assert code == 0
+
+
+@pytest.mark.parametrize("session", [(preset,) for preset in PRESET_NAMES]
+                         + [("scalar-twist", "--twist", "0")],
+                         ids=[*PRESET_NAMES, "scalar-twist-0"])
+def test_word_bound_leaves_graded_member_unchanged(capsys, session):
+    # the zero map of twist 0 is graded too: a member with a right word is
+    # one whether or not a word bound would cut that word off
+    argv = ("member", "--preset", *session, "dx1 dx2 x1")
+    code, out, err = run(capsys, *argv)
+    assert run(capsys, *argv, "--word-bound", "0") == (code, out, err)
+    assert code == 0 and out.endswith("[x1]\n")
 
 
 def test_scalar_twist_flag(capsys):

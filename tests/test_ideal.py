@@ -462,12 +462,13 @@ def test_nonlinear_map_uses_bounded_path():
     ideal = Ideal(Calculus(quadratic_map()))
     assert ideal.calc.bmap.entry_degrees() == {2}
     assert not ideal._graded and not ideal._right_only
-    # entries of mixed degree, and none at all, take the bounded path too
+    # entries of mixed degree take the bounded path too; the zero map, whose
+    # entries are all the scalar 0, is planned as degree 0
     z = AlgebraElement.zero(2)
     mixed = [[[x(2, 1, 1), z], [z, x(2, 1)]], [[x(2, 2), z], [z, x(2, 2)]]]
-    zero = [[[z] * 2] * 2] * 2
-    for gen in (mixed, zero):
-        assert not Ideal(Calculus(BimoduleMap(2, gen)))._graded
+    assert not Ideal(Calculus(BimoduleMap(2, mixed)))._graded
+    zero = Ideal(Calculus(BimoduleMap(2, [[[z] * 2] * 2] * 2)))
+    assert zero._graded and zero._right_only
     gen = relations(ideal.calc, x(2, 1), 2)["dx_dx", None]
     image = d(ideal.calc, gen)
     verdict = ideal.membership(image)
