@@ -57,7 +57,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .scalar import Scalar, ZERO, ONE, Q, q_power
+from .scalar import Scalar, ONE, Q, q_power
 from .freealg import AlgebraElement, word_key
 from .tensoralg import TensorElement, tensor_mul, dword_key, letter_sum, prefixed
 from .calculus import Calculus
@@ -205,15 +205,6 @@ def _devectorize(vec, n) -> TensorElement:
     return out
 
 
-def _sub_scaled(target, source, factor):
-    for key, value in source.items():
-        cur = target.get(key, ZERO) - value * factor
-        if cur:
-            target[key] = cur
-        else:
-            target.pop(key, None)
-
-
 class _Echelon:
     """Row basis of the span of the inserted vectors, with their columns.
 
@@ -228,6 +219,13 @@ class _Echelon:
     of each earlier row it met.  Only independent vectors make rows, so a
     vector in the span is one combination of the columns, and
     :meth:`express` recovers it by back-substitution over the records.
+
+    Every ``c - a * b`` of both phases, a row subtracted from a vector and
+    a record's factors from the pending coefficients, is one call of the
+    Q(q) kernel :meth:`Scalar.sub_scaled`: one canonical Scalar per key
+    touched, and a key that cancels is dropped.  Which columns are
+    accepted depends only on the span, and their combination is unique,
+    so the arithmetic's form changes no witness or residual.
     """
 
     __slots__ = ("rows", "records", "columns")
@@ -249,7 +247,7 @@ class _Echelon:
             if target is None:
                 return vec, factors
             factor = factors[target] = vec[target]
-            _sub_scaled(vec, rows[target], factor)
+            Scalar.sub_scaled(vec, rows[target], factor)
 
     def insert(self, vec, column) -> bool:
         """Add a row for vec unless the rows span it; keep column if added."""
@@ -273,7 +271,10 @@ class _Echelon:
         less the earlier rows its record names, so its column takes the
         coefficient ``a = pending / lead``, and each earlier row the record
         names takes ``-a * factor`` more.  A heap visits the rows reached,
-        latest column first, so every row is settled once.
+        latest column first, so every row is settled once, after every
+        later row has added to it.  A row whose pending coefficient cancels
+        to zero leaves ``pending`` and takes no column; one that comes back
+        after it cancelled is queued twice, and its second entry is skipped.
         """
         vec, pending = self._reduce(dict(vec))
         if vec:
@@ -284,18 +285,15 @@ class _Echelon:
         combo = {}  # index in columns -> coefficient
         while heap:
             pivot = heapq.heappop(heap)[1]
-            coeff = pending.pop(pivot)
-            if not coeff:
+            coeff = pending.pop(pivot, None)
+            if coeff is None:  # cancelled to zero, or queued twice
                 continue
             index, inv, factors = records[pivot]
             coeff = combo[index] = coeff * inv
-            for earlier, factor in factors.items():
-                cur = pending.get(earlier)
-                if cur is None:
-                    pending[earlier] = -(coeff * factor)
+            for earlier in factors:
+                if earlier not in pending:
                     heapq.heappush(heap, (-records[earlier][0], earlier))
-                else:
-                    pending[earlier] = cur - coeff * factor
+            Scalar.sub_scaled(pending, factors, coeff)
         return [(index, combo[index]) for index in sorted(combo)], None
 
 
@@ -426,7 +424,7 @@ class Ideal:
         if not vec:
             return Verdict("member", witness=[])
 
-        direct = self._scalar_multiple_of_generator(e, vec)
+        direct = self._scalar_multiple_of_generator(vec)
         if direct is not None:
             return Verdict("member", witness=[direct])
 
@@ -484,24 +482,36 @@ class Ideal:
                            detail="; ".join(details))
         return Verdict("member", witness=witness)
 
-    def _scalar_multiple_of_generator(self, e: TensorElement, vec):
-        """One-term witness when e, whose vector is vec, is exactly
+    def _scalar_multiple_of_generator(self, vec):
+        """One-term witness when the query whose vector is vec is exactly
         c * (some generator).
 
         Generators can be linearly dependent (the commutative preset has
         such relations), so the generic solve may pick a combination; this
         keeps the canonical witness for the generators themselves.
+
+        A generator with vec's lead key is compared in place, nothing
+        scaled: its term count against vec's, then each of its terms times
+        c against vec's value at the term's key.  Every generator was
+        vectorized once, when its lead was recorded, so ``_keys`` holds the
+        key of each of its terms.
         """
+        keys = self._keys
         if self._leads is None:
             self._leads = {}  # lead key -> [(generator, 1 / lead coefficient)]
             for gen in self.all_generators():
-                gvec = _vectorize(gen.element, self._keys)
+                gvec = _vectorize(gen.element, keys)
                 glead = max(gvec)
                 self._leads.setdefault(glead, []).append((gen, gvec[glead].inv()))
         lead = max(vec)
         for gen, inv in self._leads.get(lead, ()):
+            if gen.element.size() != len(vec):
+                continue
             factor = vec[lead] * inv
-            if gen.element.scale(factor) == e:
+            if all(coeff * factor == vec.get(by_word[word])
+                   for dword, u in gen.element.terms.items()
+                   for by_word in (keys[dword][1],)
+                   for word, coeff in u.terms.items()):
                 return WitnessTerm((), (), gen, (), (), factor)
         return None
 

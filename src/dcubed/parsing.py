@@ -268,7 +268,7 @@ _LATEX = _Notation(
 
 
 def _split_sign(s: Scalar):
-    if s.a < 0 or (s.a == 0 and s.b < 0):
+    if s.A < 0 or (s.A == 0 and s.B < 0):
         return "-", -s
     return "+", s
 
@@ -333,7 +333,7 @@ def format_tensor_latex(e: TensorElement) -> str:
 
 
 def scalar_to_obj(s: Scalar):
-    return {"a": format_rational(s.a), "b": format_rational(s.b)}
+    return {"a": format_rational(s.A, s.D), "b": format_rational(s.B, s.D)}
 
 
 def algebra_to_obj(u: AlgebraElement):

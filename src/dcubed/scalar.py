@@ -110,6 +110,37 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sub_scaled(target: dict, source: dict, factor: "Scalar") -> None:
+        """``target[k] -= source[k] * factor`` for every key k of source, in
+        place, over dicts of Scalars.
+
+        The kernel of exact elimination.  Each product is formed by the rule
+        of :meth:`__mul__` and the difference from it in ints, and the result
+        is brought to canonical form once, by one :meth:`_make`; a key whose
+        value cancels to zero is dropped, so target stores no zero.
+        """
+        fa, fb, fd = factor.A, factor.B, factor.D
+        make = Scalar._make
+        for key, value in source.items():
+            a, b = value.A, value.B
+            cross = b * fb
+            pa, pb, pd = a * fa - cross, a * fb + fa * b - cross, value.D * fd
+            cur = target.get(key)
+            if cur is None:
+                if pa or pb:
+                    target[key] = make(-pa, -pb, pd)
+                continue
+            d = cur.D
+            if d == pd:
+                A, B = cur.A - pa, cur.B - pb
+            else:
+                A, B, d = cur.A * pd - pa * d, cur.B * pd - pb * d, d * pd
+            if A or B:
+                target[key] = make(A, B, d)
+            else:
+                del target[key]
+
     def inv(self) -> "Scalar":
         """Multiplicative inverse: D times the conjugate (A - B) - B*q over
         the norm A^2 - AB + B^2, which is positive for a nonzero value."""
@@ -207,10 +238,13 @@ class DigitLimitError(ValueError):
     conversion limit allows to print."""
 
 
-def format_rational(x: Fraction) -> str:
-    """``str(x)``, raising :class:`DigitLimitError` past the digit limit."""
+def format_rational(num: int, den: int) -> str:
+    """The text of ``num / den``, den > 0, in lowest terms: ``num`` or
+    ``num/den``, as ``str`` of the equal Fraction reads; past the digit
+    limit, :class:`DigitLimitError`."""
+    g = gcd(num, den)
     try:
-        return str(x)
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
     except ValueError:
         raise DigitLimitError(
             "a scalar is too long to print: its numerator or denominator has "
@@ -219,18 +253,19 @@ def format_rational(x: Fraction) -> str:
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: "0", "5/3", "q", "-2*q", "1 + q", "1/2 - q"."""
-    if not s:
+    A, B, D = s.A, s.B, s.D
+    if not (A or B):
         return "0"
     parts = []
-    if s.a:
-        parts.append(format_rational(s.a))
-    if s.b:
-        if s.b == 1:
+    if A:
+        parts.append(format_rational(A, D))
+    if B:
+        if B == D:
             q_part = "q"
-        elif s.b == -1:
+        elif B == -D:
             q_part = "-q"
         else:
-            q_part = f"{format_rational(s.b)}*q"
+            q_part = f"{format_rational(B, D)}*q"
         if parts:
             if q_part.startswith("-"):
                 parts.append("- " + q_part[1:])
@@ -239,4 +274,3 @@ def format_scalar(s: Scalar) -> str:
         else:
             parts.append(q_part)
     return " ".join(parts)
-

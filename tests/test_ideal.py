@@ -5,11 +5,12 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from dcubed.scalar import ONE, ZERO, Q, q_power
-from dcubed.freealg import AlgebraElement
+from dcubed.scalar import ONE, ZERO, Q, Scalar, q_power
+from dcubed.freealg import AlgebraElement, _Sparse
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
@@ -209,6 +210,55 @@ def test_witness_terms_hold_the_ideals_generators(name):
     for term in fast.witness + eliminated.witness:
         own = term.generator
         assert own is generator(ideal, own.family, own.i, own.j, own.k)
+
+
+def near_misses(ideal, e):
+    """Queries that share e's lead key but are no multiple of e: e plus one
+    extra term and, when e has two terms or more, e with one coefficient
+    doubled and e with every term but the lead tripled.  No generator of
+    the test maps has two terms in the ratio 2 or 3, so none of these is a
+    multiple of a generator."""
+    yield e + mono(ideal.n, ((1, 1),))
+    vec = ideal_module._vectorize(e, ideal._keys)
+    lead, other = max(vec), min(vec)
+    if other != lead:
+        yield ideal_module._devectorize({**vec, other: vec[other] * 2}, ideal.n)
+        yield ideal_module._devectorize(
+            {key: value if key == lead else value * 3 for key, value in vec.items()}, ideal.n)
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "quadratic"])
+def test_fast_path_rejects_near_misses(name):
+    bmap = quadratic_map() if name == "quadratic" else preset_map(name, 2)
+    ideal = Ideal(Calculus(bmap), Bounds(word_bound=1))
+    for gen in ideal.all_generators():
+        for query in near_misses(ideal, gen.element.scale(Q)):
+            assert ideal._scalar_multiple_of_generator(ideal_module._vectorize(
+                query, ideal._keys)) is None
+            verdict = ideal.membership(query)
+            assert not (verdict.is_member and len(verdict.witness) == 1)
+            if verdict.is_member:
+                assert ideal.expand_witness(verdict.witness) == query
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "quadratic"])
+def test_fast_path_scales_nothing(name, monkeypatch):
+    # c * g comes back as c times g itself, and no element is scaled on the way
+    bmap = quadratic_map() if name == "quadratic" else preset_map(name, 2)
+    ideal = Ideal(Calculus(bmap), Bounds(word_bound=1))
+    c = Scalar(Fraction(-2, 3), 1)
+    queries = [gen.element.scale(c) for gen in ideal.all_generators()]
+
+    def refuse(self, value):
+        raise AssertionError("the fast path scaled an element")
+
+    monkeypatch.setattr(_Sparse, "scale", refuse)
+    witnesses = [ideal.membership(query).witness for query in queries]
+    assert not ideal._systems
+    monkeypatch.undo()
+    for query, [term] in zip(queries, witnesses):
+        assert term == WitnessTerm((), (), term.generator, (), (), term.coeff)
+        assert term.generator.element.scale(term.coeff) == query
 
 
 def test_left_multiple_stays_in_ideal(commutative_ideal):

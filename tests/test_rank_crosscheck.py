@@ -10,13 +10,16 @@ counts must both equal that rank.
 Systems are keyed (grade, top).  A case names the map's path: wdeg for a
 graded map, whose top is a word degree, or word_bound for a map on the
 bounded path, whose top is a word bound.  A bounded system spans every
-product of total word length up to its word bound; the quadratic map is
-the one taking that path here.  An exact system spans the bidegree
-(grade, wdeg) of a graded ideal: the reference takes the products of total
-word length up to wdeg + 1, checks that each is homogeneous, and keeps
-those of word degree wdeg.  That includes products with a nonempty left
-word.  A right-only map (degree 0, or scalar-diagonal: every m(x^i) one
-element times the identity) builds only the letter system (grade, 0), and
+product of total word length up to its word bound; the quadratic map and
+the ``twisted`` map of ``NON_DIAGONAL_MAPS`` take that path here.  The
+twisted map's entries mix word degrees 0 and 1 in sums of several terms,
+so its elimination cancels the most: the 120 products of its (3, 1)
+system span all 48 keys they touch.  An exact system spans the bidegree (grade, wdeg) of
+a graded ideal: the reference takes the products of total word length up
+to wdeg + 1, checks that each is homogeneous, and keeps those of word
+degree wdeg.  That includes products with a nonempty left word.  A
+right-only map (degree 0, or scalar-diagonal: every m(x^i) one element
+times the identity) builds only the letter system (grade, 0), and
 the bidegree is n^wdeg copies of it, one per right word: its rank is the
 letter system's times n^wdeg, left words and all.  The scalar-diagonal
 map ``SCALAR_DIAGONAL`` has p_1 = x1 + x2, so crossing it recombines words
@@ -39,7 +42,9 @@ from dcubed.config import SessionConfig, build_map
 from dcubed.ideal import Ideal, _vectorize
 from dcubed.tensoralg import dword_grade
 
-from conftest import DEGREE_ONE, RIGHT_ONLY_MAPS, SCALAR_DIAGONAL, products, quadratic_map
+from conftest import (
+    DEGREE_ONE, NON_DIAGONAL_MAPS, RIGHT_ONLY_MAPS, SCALAR_DIAGONAL, products, quadratic_map,
+)
 
 # building the field takes about half a second: once per module
 FIELD = sympy.QQ.algebraic_field(sympy.sqrt(-3))
@@ -49,7 +54,7 @@ BIGRADED_SHAPES = ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0))
 CASES = [(name, grade, wdeg, None)
          for name in ("commutative", "scalar-twist")
          for grade, wdeg in BIGRADED_SHAPES]
-CASES += [("quadratic", 2, None, 2), ("quadratic", 3, None, 1)]
+CASES += [("quadratic", 2, None, 2), ("quadratic", 3, None, 1), ("twisted", 3, None, 1)]
 CASES += [("constant", grade, 1, None) for grade in (2, 3)]
 CASES += [("degree-one", 3, 1, None)]
 CASES += [("scalar-diagonal", grade, wdeg, None) for grade, wdeg in ((2, 1), (3, 1), (4, 0))]
@@ -63,6 +68,8 @@ def structure_map(name):
         return build_map(SessionConfig(n=2, xi_entries=SCALAR_DIAGONAL))
     if name == "quadratic":
         return quadratic_map()
+    if name in NON_DIAGONAL_MAPS:
+        return NON_DIAGONAL_MAPS[name]()
     if name in RIGHT_ONLY_MAPS:
         return RIGHT_ONLY_MAPS[name]()
     return preset_map(name, 2)
