@@ -6,8 +6,11 @@ Subcommands: ``diff`` (iterated differential of an expression), ``reduce``
 check suites and emit a report).
 
 Exit codes: 0 ok, 1 check failure / non-membership, 2 parse or config
-error, 3 inconclusive (bounds exhausted, a result scalar too long to
-print, or a product of more than ``freealg.MAX_TERMS`` terms).
+error, 3 inconclusive.  Inconclusive is a ``bound_exceeded`` verdict (an
+oracle system over the size cap, or with a column of more than
+``freealg.MAX_TERMS`` terms), or one ``error:`` line for a result scalar
+too long to print or any other product of more than ``MAX_TERMS`` terms:
+in the parser, in ``d`` or in the generator table.
 
 An expression that begins with ``-`` reads as an option, so argparse
 exits 2 without it; put ``--`` before it, after every option:

@@ -58,7 +58,7 @@ import itertools
 from dataclasses import dataclass
 
 from .scalar import Scalar, ONE, Q, q_power
-from .freealg import AlgebraElement, word_key
+from .freealg import AlgebraElement, TermLimitError, word_key
 from .tensoralg import TensorElement, tensor_mul, dword_key, letter_sum, prefixed
 from .calculus import Calculus
 from .differential import d
@@ -377,7 +377,10 @@ class Ideal:
         exactly.  A non-member's residual is the normal form of e: zero
         exactly for members, left unchanged by a second reduction, and
         differing from e by a member.  Its detail names the system of each
-        failed part, and a size-cap verdict names the system refused.
+        failed part.  A ``bound_exceeded`` detail names the system refused:
+        over the size cap, or with a column of more than
+        ``freealg.MAX_TERMS`` terms (the generators are built by then, so
+        only a column can pass it); a refused system is not cached.
 
         e is vectorized once.  Each key starts with its term's grade and
         word degree, so one pass over the keys splits e into parts keyed
@@ -452,7 +455,11 @@ class Ideal:
         # the whole block is its remainder.
         witness, rest, details = [], {}, []
         for grade, top in sorted(parts):
-            system = self._system(grade, top)
+            try:
+                system = self._system(grade, top)
+            except TermLimitError as err:  # a column passed MAX_TERMS
+                return Verdict("bound_exceeded", detail=(
+                    f"spanning set for grade {grade}, {axis} {top}: {err}"))
             if system is None:
                 return Verdict("bound_exceeded", detail=(
                     f"spanning set for grade {grade}, {axis} {top} exceeds the "

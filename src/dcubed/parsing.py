@@ -12,7 +12,8 @@ Grammar (whitespace-insensitive)::
 
 ``d(...)`` applies the differential during evaluation and only accepts a
 grade-0 argument; higher forms are entered through letters.  ``d3x1`` and
-beyond are rejected outright: d^3 x^i = 0.
+beyond are rejected outright: d^3 x^i = 0.  No other spelling names a
+letter: ``d1x1``, ``d0x1`` and ``d02x1`` are parse errors.
 
 The printers emit exactly this grammar, so every printed element parses
 back to an equal value.
@@ -24,7 +25,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalar import Scalar, ONE, format_rational, format_scalar, q_integer
+from .scalar import Scalar, ONE, format_rational, format_scalar, join_signed, q_integer
 from .freealg import AlgebraElement, check_terms
 from .tensoralg import TensorElement, tensor_mul
 from .calculus import Calculus
@@ -221,14 +222,17 @@ class _Parser:
         if m:
             if self.calc is None:
                 raise ParseError("letters not allowed here", pos)
-            grade = self.integer(m.group(1) or "1", pos)
+            spelled = m.group(1)
+            if spelled not in ("", "2"):  # only dx<i> and d2x<i> spell letters
+                if not spelled.startswith("0") and self.integer(spelled, pos) > 2:
+                    raise ParseError(f"no grade-{spelled} letters: d^3 x^i = 0", pos)
+                raise ParseError(f"unknown letter {value!r}: letters are dx<i> and d2x<i>",
+                                 pos)
             index = self.integer(m.group(2), pos)
-            if grade == 0 or grade > 2:
-                raise ParseError(f"no grade-{grade} letters: d^3 x^i = 0", pos)
             if not 1 <= index <= self.n:
                 raise ParseError(f"unknown generator index in {value!r} (n = {self.n})",
                                  pos)
-            return TensorElement.of_letter(self.n, grade, index)
+            return TensorElement.of_letter(self.n, 2 if spelled else 1, index)
         raise ParseError(f"unknown name {value!r}", pos)
 
 
@@ -273,16 +277,6 @@ def _split_sign(s: Scalar):
     return "+", s
 
 
-def _join_signed(parts) -> str:
-    out = []
-    for sign, text in parts:
-        if not out:
-            out.append(text if sign == "+" else f"-{text}")
-        else:
-            out.append(f" {sign} {text}")
-    return "".join(out)
-
-
 def _term(nt: _Notation, word, coeff: Scalar, head=""):
     """(sign, text) of the letters ``head`` times ``coeff * word``."""
     sign, mag = _split_sign(coeff)
@@ -301,7 +295,7 @@ def _term(nt: _Notation, word, coeff: Scalar, head=""):
 def _algebra(nt: _Notation, u: AlgebraElement) -> str:
     if u.is_zero:
         return "0"
-    return _join_signed(_term(nt, w, c) for w, c in u.sorted_terms())
+    return join_signed(_term(nt, w, c) for w, c in u.sorted_terms())
 
 
 def _tensor(nt: _Notation, e: TensorElement) -> str:
@@ -314,7 +308,7 @@ def _tensor(nt: _Notation, e: TensorElement) -> str:
             parts.extend(_term(nt, w, c, head) for w, c in coeff.sorted_terms())
         else:
             parts.append(("+", head + nt.coeff + nt.group.format(_algebra(nt, coeff))))
-    return _join_signed(parts)
+    return join_signed(parts)
 
 
 def format_algebra(u: AlgebraElement) -> str:

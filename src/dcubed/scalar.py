@@ -31,17 +31,14 @@ class Scalar:
             return
         if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
             raise TypeError(f"scalar parts must be ints or Fractions, got {a!r}, {b!r}")
-        a, b = Fraction(a), Fraction(b)
-        # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
-        da, db = a.denominator, b.denominator
-        d = da * db // gcd(da, db)
-        self.A = a.numerator * (d // da)
-        self.B = b.numerator * (d // db)
-        self.D = d
+        made = Scalar._make(a.numerator * b.denominator, b.numerator * a.denominator,
+                            a.denominator * b.denominator)
+        self.A, self.B, self.D = made.A, made.B, made.D
 
     @classmethod
     def _make(cls, A, B, D):
-        """(A + B q) / D for D > 0, brought to canonical form."""
+        """(A + B q) / D for D > 0, brought to canonical form: the one
+        place a common factor of the fields is divided out."""
         if D != 1:
             g = gcd(A, B, D)
             if g != 1:
@@ -85,11 +82,7 @@ class Scalar:
     def __sub__(self, other):
         if other.__class__ is not Scalar and (other := _operand(other)) is None:
             return NotImplemented
-        d1, d2 = self.D, other.D
-        if d1 == d2:
-            return Scalar._make(self.A - other.A, self.B - other.B, d1)
-        return Scalar._make(self.A * d2 - other.A * d1,
-                            self.B * d2 - other.B * d1, d1 * d2)
+        return self + -other
 
     def __rsub__(self, other):
         other = _operand(other)
@@ -251,6 +244,19 @@ def format_rational(num: int, den: int) -> str:
             f"more than {sys.get_int_max_str_digits()} digits") from None
 
 
+def join_signed(parts) -> str:
+    """The one sign rule of a printed sum, over (sign, text) pairs whose
+    sign is "+" or "-": the first part reads ``text`` or ``-text``, each
+    later one `` + text`` or `` - text``, and no parts read ""."""
+    out = []
+    for sign, text in parts:
+        if not out:
+            out.append(text if sign == "+" else f"-{text}")
+        else:
+            out.append(f" {sign} {text}")
+    return "".join(out)
+
+
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: "0", "5/3", "q", "-2*q", "1 + q", "1/2 - q"."""
     A, B, D = s.A, s.B, s.D
@@ -258,19 +264,8 @@ def format_scalar(s: Scalar) -> str:
         return "0"
     parts = []
     if A:
-        parts.append(format_rational(A, D))
+        parts.append(("-" if A < 0 else "+", format_rational(abs(A), D)))
     if B:
-        if B == D:
-            q_part = "q"
-        elif B == -D:
-            q_part = "-q"
-        else:
-            q_part = f"{format_rational(B, D)}*q"
-        if parts:
-            if q_part.startswith("-"):
-                parts.append("- " + q_part[1:])
-            else:
-                parts.append("+ " + q_part)
-        else:
-            parts.append(q_part)
-    return " ".join(parts)
+        parts.append(("-" if B < 0 else "+",
+                      "q" if abs(B) == D else f"{format_rational(abs(B), D)}*q"))
+    return join_signed(parts)

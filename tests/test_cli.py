@@ -671,6 +671,20 @@ def test_term_cap(capsys, tmp_path, expr, twisted):
     assert len(err.splitlines()) == 1
 
 
+def test_term_cap_in_a_system_is_inconclusive(capsys, tmp_path):
+    # columns of the non-diagonal quadratic map's grade-3 and grade-4
+    # systems pass MAX_TERMS: those verdicts are inconclusive, not errors
+    flags = map_config(tmp_path, NON_DIAGONAL_MAPS["quadratic"]())
+    code, out, err = run(capsys, "member", *flags, "d2x1 d2x2")
+    assert code == 3 and err == ""
+    assert out.startswith("status: bound_exceeded\n")
+    path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", *flags, "--max-word-len", "0",
+                       "--suite", "generator-diffs", "--report", str(path))
+    assert code == 3 and err == ""
+    assert json.loads(path.read_text())["summary"]["inconclusive"] > 0
+
+
 def test_config_not_utf8(capsys, tmp_path):
     path = tmp_path / "session.json"
     path.write_bytes(b'{"n": 2, "preset": "\xff"}')

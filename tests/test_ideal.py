@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dcubed.scalar import ONE, ZERO, Q, Scalar, q_power
-from dcubed.freealg import AlgebraElement, _Sparse
+from dcubed.freealg import MAX_TERMS, AlgebraElement, _Sparse
 from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.config import SessionConfig, build_map
@@ -21,8 +21,8 @@ from dcubed.ideal import Bounds, Ideal, WitnessTerm, _Echelon, relations
 from dcubed.parsing import parse_expression
 
 from conftest import (
-    DEGREE_ONE, PRESET_NAMES, RIGHT_ONLY_MAPS, SMALL_SCALARS, generator, normal_form,
-    quadratic_map, random_tensor, x,
+    DEGREE_ONE, NON_DIAGONAL_MAPS, PRESET_NAMES, RIGHT_ONLY_MAPS, SMALL_SCALARS,
+    generator, normal_form, quadratic_map, random_tensor, x,
 )
 
 
@@ -338,6 +338,17 @@ def test_size_cap_reports_bound_exceeded():
     shifted = tensor_mul(ideal.calc.bmap, mono(2, ((1, 1),)), gen)
     verdict = ideal.membership(shifted)
     assert verdict.status == "bound_exceeded"
+
+
+def test_term_cap_in_a_column_reports_bound_exceeded():
+    # on the non-diagonal quadratic map a column of the grade-4 system at
+    # word bound 1 passes MAX_TERMS: the system is refused, and not cached
+    ideal = Ideal(Calculus(NON_DIAGONAL_MAPS["quadratic"]()), Bounds(word_bound=1))
+    verdict = ideal.membership(parse_expression("d2x1 d2x2", ideal.calc))
+    assert verdict.status == "bound_exceeded"
+    assert "grade 4, word bound 1" in verdict.detail
+    assert f"MAX_TERMS = {MAX_TERMS}" in verdict.detail
+    assert (4, 1) not in ideal._systems
 
 
 # Columns enumerated for the one system dx1 * dx_dx(1,2) * x1 needs: grade

@@ -44,6 +44,11 @@ def test_grade_three_letter_rejected(calc):
     assert "d^3 x^i = 0" in str(err.value)
     with pytest.raises(ParseError):
         parse_expression("d5x2", calc)
+    # only dx<i> and d2x<i> spell letters: no grade is read from other digits
+    for name in ("d0x1", "d1x1", "d02x1"):
+        with pytest.raises(ParseError) as err:
+            parse_expression(f"x1 + {name}", calc)
+        assert err.value.position == 5 and "d^3" not in str(err.value)
 
 
 def test_d_requires_grade_zero(calc):

@@ -5,7 +5,7 @@ import pytest
 
 from dcubed.parsing import parse_algebra
 from dcubed.scalar import (
-    Scalar, ZERO, ONE, Q, Q2, q_power, q_integer, format_scalar,
+    Scalar, ZERO, ONE, Q, Q2, q_power, q_integer, format_scalar, join_signed,
 )
 
 
@@ -86,6 +86,9 @@ def test_format():
     assert format_scalar(Scalar(1, 1)) == "1 + q"
     assert format_scalar(Scalar(Fraction(1, 2), -1)) == "1/2 - q"
     assert format_scalar(Scalar(0, Fraction(-2, 3))) == "-2/3*q"
+    # the sign rule every printed sum shares
+    assert join_signed([]) == ""
+    assert join_signed([("-", "x1"), ("+", "q"), ("-", "2")]) == "-x1 + q - 2"
 
 
 def test_parse_round_trip():

@@ -1,10 +1,14 @@
-"""The elimination kernel ``Scalar.sub_scaled`` against the Scalar operators.
+"""Scalar's integer-coded paths against independent references.
 
-Vectors are dicts from small int keys to Scalars.  Their parts have unequal
-and large denominators, each side has keys the other lacks, and some
-target entries equal ``source[k] * factor`` exactly, so they cancel.
+The elimination kernel ``Scalar.sub_scaled`` is checked against the Scalar
+operators.  Vectors are dicts from small int keys to Scalars.  Their parts
+have unequal and large denominators, each side has keys the other lacks,
+and some target entries equal ``source[k] * factor`` exactly, so they
+cancel.  ``format_scalar``, which prints from the fields ``A``, ``B`` and
+``D``, is checked against text built from ``str`` of each part's Fraction.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -13,7 +17,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from dcubed.scalar import Scalar, ZERO
+from dcubed.scalar import Scalar, ZERO, format_scalar
 
 rationals = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=30),
@@ -67,3 +71,23 @@ def test_sub_scaled_drops_what_cancels():
     target = {1: source[1] * factor, 3: Scalar(5)}
     Scalar.sub_scaled(target, source, factor)
     assert target == {2: -factor, 3: Scalar(5)}
+
+
+def printed(a: Fraction, b: Fraction) -> str:
+    """a + b*q as the printers write it, from str(Fraction) pieces."""
+    if not b:
+        return str(a)  # "0" for zero
+    q_part = "q" if abs(b) == 1 else f"{abs(b)}*q"
+    if not a:
+        return q_part if b > 0 else f"-{q_part}"
+    return f"{a} {'+' if b > 0 else '-'} {q_part}"
+
+
+# the units give the q parts "q" and "-q", and 0 a missing part
+parts = rationals | st.sampled_from((0, 1, -1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(parts, parts)
+def test_format_scalar_agrees_with_fraction_text(a, b):
+    assert format_scalar(Scalar(a, b)) == printed(Fraction(a), Fraction(b))
