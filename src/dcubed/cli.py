@@ -15,12 +15,18 @@ in the parser, in ``d`` or in the generator table.
 An expression that begins with ``-`` reads as an option, so argparse
 exits 2 without it; put ``--`` before it, after every option:
 ``dcubed diff -k 2 -- "-x1"``.
+
+``main(argv)`` may be called many times in one process.  The argument
+parser is built on the first call and reused: it is fixed configuration,
+and each call parses into a fresh namespace, so nothing parsed carries
+over from one call to the next.  Importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -47,7 +53,10 @@ EXIT_INCONCLUSIVE = OUTCOMES["bound_exceeded"].exit_code
 LATEX_COMMANDS = ("diff", "reduce")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI's one argument parser, built on first use and shared by
+    every later call; callers parse with it and never change it."""
     parser = argparse.ArgumentParser(
         prog="dcubed",
         description="Exact calculus in a graded differential algebra "

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -701,3 +702,86 @@ def test_console_script_resolves_to_main():
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
     module, _, name = scripts["dcubed"].partition(":")
     assert getattr(importlib.import_module(module), name) is main
+
+
+def _fresh_process(*args):
+    """Run ``python *args`` with this checkout's ``dcubed`` importable;
+    return its exit code, stdout and stderr."""
+    src = str(Path(dcubed.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _count_parsers(monkeypatch):
+    """A list that grows by one for each ArgumentParser constructed from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    main(["diff", "x1"])  # the first call of a process may build it
+    built = _count_parsers(monkeypatch)
+    for _ in range(4):
+        for argv in (["diff", "-k", "2", "x1 x2", "--format", "json"],
+                     ["reduce", "dx1 (*) dx2"],
+                     ["member", "dx1", "--preset", "constant"],
+                     ["verify", "-n", "2", "--max-word-len", "0", "--suite", "d3"]):
+            main(argv)
+        with pytest.raises(SystemExit):
+            main(["diff", "-k", "4", "x1"])
+    capsys.readouterr()
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    # a one-shot process builds the root, the common parent and 4 subparsers
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import dcubed.cli\n"
+            "print(len(built))\n"
+            "dcubed.cli.main(['diff', 'x1'])\n"
+            "print(len(built))\n")
+    assert _fresh_process("-c", code) == (0, "0\ndx1\n6\n", "")
+
+
+def test_no_parsed_state_carries_between_calls(capsys, tmp_path):
+    config = tmp_path / "twist.json"
+    config.write_text('{"n": 3, "preset": "scalar-twist", "twist": "2"}')
+    sequence = [
+        ("verify", "-n", "2", "--max-word-len", "0", "--suite", "d3", "--format", "json"),
+        ("verify", "-n", "2", "--max-word-len", "0", "--format", "json"),
+        ("diff", "--mod-ideal", "-k", "3", "x1"),
+        ("diff", "x1"),
+        ("diff", "-k", "0", "x1"),  # argparse exits 2
+        ("diff", "-k", "2", "x1 x2"),
+        ("diff", "x1 x3", "--config", str(config)),
+        ("diff", "x1 x2"),          # commutative, n = 2
+        ("diff", "x1 x3"),          # x3 is no name at n = 2
+    ]
+    results = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+        assert results[-1] == _fresh_process("-m", "dcubed.cli", *argv), argv
+    # --suite appends to a default that no earlier call has filled
+    assert len(json.loads(results[1][1])["suites"]) == 5
+    assert results[3] == (0, "dx1\n", "")
+    assert results[4][0] == 2
+    assert results[8][0] == 2 and "unknown generator 'x3' (n = 2)" in results[8][2]
