@@ -5,6 +5,13 @@ Subcommands: ``diff`` (iterated differential of an expression), ``reduce``
 ``member`` (ideal membership with witness), ``verify`` (run the identity
 check suites and emit a report).
 
+A session starts from the ``--config`` file when one is given, else from
+the ``commutative`` preset; ``--preset`` and the other options override
+it, and :func:`dcubed.config.build_map` validates the result.  ``-k``,
+``--format``, ``--suite`` and ``--max-word-len`` state their ranges as
+argparse ``choices``.  ``verify`` prints suite timings, in the text
+report as in the JSON one, only with ``--timings``.
+
 Exit codes: 0 ok, 1 check failure / non-membership, 2 parse or config
 error, 3 inconclusive.  Inconclusive is a ``bound_exceeded`` verdict (an
 oracle system over the size cap, or with a column of more than
@@ -108,22 +115,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", metavar="PATH",
                           help="write the JSON report to this file")
     p_verify.add_argument("--timings", action="store_true",
-                          help="include wall-clock timings in the JSON report")
+                          help="include wall-clock timings in the report")
     p_verify.add_argument("--seed", type=int, metavar="N",
                           help="seed for sampled checks")
     p_verify.add_argument("--max-word-len", type=int, default=2,
+                          choices=range(MAX_WORD_LEN + 1), metavar="MAX_WORD_LEN",
                           help="exhaustive word length for sampled checks "
                                f"(0 to {MAX_WORD_LEN})")
     return parser
 
 
 def _session(args) -> SessionConfig:
-    cfg = load_config(args.config) if args.config else SessionConfig()
+    cfg = SessionConfig(preset="commutative") if args.config is None else load_config(args.config)
     if args.preset is not None:
         cfg.preset = args.preset
         cfg.xi_entries = None
-    if args.config is None and cfg.preset is None and cfg.xi_entries is None:
-        cfg.preset = "commutative"
     for name in ("n", "twist", "format", "seed"):
         value = getattr(args, name, None)
         if value is not None:
@@ -132,7 +138,6 @@ def _session(args) -> SessionConfig:
         value = getattr(args, bound.name)
         if value is not None:
             setattr(cfg.bounds, bound.name, value)
-    cfg.validate()
     if cfg.format == "latex" and args.command not in LATEX_COMMANDS:
         raise ConfigError(f"{args.command} prints text or json, not latex")
     return cfg
@@ -249,7 +254,7 @@ def cmd_verify(args, cfg: SessionConfig, ideal: Ideal) -> int:
         if cfg.format == "json":
             _emit(json.dumps(obj, sort_keys=True))
         else:
-            _emit(report.to_text(), end="")
+            _emit(report.to_text(with_timing=args.timings), end="")
         if handle:
             print(json.dumps(obj, sort_keys=True, indent=2), file=handle)
     return report.exit_code
@@ -260,10 +265,7 @@ COMMANDS = {"diff": cmd_diff, "reduce": cmd_reduce,
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and not 0 <= args.max_word_len <= MAX_WORD_LEN:
-        parser.error(f"--max-word-len must be between 0 and {MAX_WORD_LEN}")
+    args = build_arg_parser().parse_args(argv)
     try:
         cfg = _session(args)
         bmap = build_map(cfg)

@@ -63,6 +63,9 @@ class SessionConfig:
     seed: int = 0
 
     def validate(self):
+        """Raise ConfigError for any value the session cannot run with.
+        Its one caller is :func:`build_map`, which every session passes
+        through before it builds anything."""
         if not _is_int(self.n) or not _is_int(self.seed):
             raise ConfigError("n and seed must be integers")
         if not 1 <= self.n <= MAX_N:
@@ -83,7 +86,6 @@ class SessionConfig:
         word_bound = self.bounds.word_bound
         if word_bound is not None and (not _is_int(word_bound) or word_bound < 0):
             raise ConfigError("bounds.word_bound must be null or an integer >= 0")
-        return self
 
 
 def _unknown(raw: dict, cls) -> list:
@@ -116,7 +118,7 @@ def load_config(path: str) -> SessionConfig:
 
 
 def build_map(cfg: SessionConfig) -> BimoduleMap:
-    """Instantiate the structure map from a validated configuration."""
+    """Validate the configuration, then instantiate its structure map."""
     cfg.validate()
     n = cfg.n
     # checked whatever the preset, though only scalar-twist reads it

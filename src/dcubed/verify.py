@@ -128,12 +128,16 @@ class SuiteReport:
             },
         }
 
-    def to_text(self) -> str:
+    def to_text(self, with_timing=False) -> str:
+        """The report as text: one line per suite, then every instance that
+        did not pass.  A suite's wall-clock time ends its line only with
+        ``with_timing``, as in :meth:`to_dict`, so the text is otherwise
+        the same on every run."""
         lines = [f"verification report: preset={self.preset} n={self.n} seed={self.seed}"]
         for report in self.reports:
+            timing = f"  [{report.duration_s:.2f}s]" if with_timing else ""
             lines.append(f"  {report.name}: {report.verdict.upper()} "
-                         f"({len(report.instances)} instances)"
-                         f"  [{report.duration_s:.2f}s]")
+                         f"({len(report.instances)} instances){timing}")
             for inst in report.instances:
                 if inst.verdict != "pass":
                     desc = ", ".join(f"{k}={v}" for k, v in inst.inputs.items())

@@ -1,8 +1,10 @@
 import argparse
 import hashlib
 import importlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -219,15 +221,17 @@ def test_verify_all_suites(capsys, tmp_path):
 
 
 def test_verify_reports_are_deterministic(capsys, tmp_path):
-    paths = []
+    paths, outs = [], []
     for run_idx in (1, 2):
         path = tmp_path / f"report{run_idx}.json"
-        code, _, _ = run(capsys, "verify", "--preset", "scalar-twist",
-                         "--suite", "d2-binomial", "--seed", "42",
-                         "--max-word-len", "1", "--report", str(path))
+        code, out, _ = run(capsys, "verify", "--preset", "scalar-twist",
+                           "--suite", "d2-binomial", "--seed", "42",
+                           "--max-word-len", "1", "--report", str(path))
         assert code == 0
         paths.append(path)
+        outs.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert outs[0] == outs[1]
 
 
 def test_seed_belongs_to_verify(capsys):
@@ -420,6 +424,8 @@ def test_bad_flags_exit_code(capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(list(flags))
     assert exc.value.code == 2
+    if "--max-word-len" in flags:  # out of its argparse choices
+        assert "argument --max-word-len: invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -481,6 +487,16 @@ def test_config_rejection_exit_code(capsys, tmp_path, text, message):
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("preset", [(), ("--preset", "commutative")],
+                         ids=["no-preset", "preset"])
+def test_empty_config_path_is_unreadable(capsys, preset):
+    # "" names no file, like any other bad path; no default session stands in
+    code, out, err = run(capsys, "member", "dx1", "--config", "", *preset)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file")
 
 
 def test_negative_word_bound_flag_exit_code(capsys):
@@ -637,20 +653,45 @@ def test_latex_refused_where_nothing_prints_it(capsys, tmp_path, command, from_c
     assert err == f"error: {command[0]} prints text or json, not latex\n"
 
 
-@pytest.mark.parametrize("timings", [False, True], ids=["plain", "timings"])
-def test_verify_timings(capsys, tmp_path, timings):
+def test_latex_refusal_with_a_bad_value(capsys):
+    # either error may be named first; both exit 2 with one line
+    code, out, err = run(capsys, "member", "--format", "latex", "-n", "0", "dx1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _suite_lines(text):
+    return [line for line in text.splitlines()
+            if line.startswith("  ") and not line.startswith("   ")]
+
+
+@pytest.mark.parametrize("timings, fmt", [(False, "json"), (True, "json"),
+                                          (False, "text"), (True, "text")],
+                         ids=["plain", "timings", "plain-text", "timings-text"])
+def test_verify_timings(capsys, monkeypatch, tmp_path, timings, fmt):
+    # a clock that advances 1 s a reading: every suite takes 1 s
+    clock = itertools.count(0.0)
+    monkeypatch.setattr("dcubed.verify.time.perf_counter", lambda: next(clock))
     path = tmp_path / "report.json"
     flags = ["--timings"] if timings else []
     code, out, _ = run(capsys, "verify", "--suite", "d3", "--suite", "d2-binomial",
-                       "--max-word-len", "1", "--format", "json",
+                       "--max-word-len", "1", "--format", fmt,
                        "--report", str(path), *flags)
     assert code == 0
-    for doc in (json.loads(out), json.loads(path.read_text())):
+    docs = [json.loads(path.read_text())]
+    if fmt == "json":
+        docs.append(json.loads(out))
+    else:
+        lines = _suite_lines(out)
+        assert len(lines) == 2
+        for line in lines:
+            assert bool(re.search(r"\[[^]]*s\]$", line)) == timings
+            assert line.endswith("  [1.00s]") == timings
+    for doc in docs:
         assert len(doc["suites"]) == 2
         for suite in doc["suites"]:
-            assert ("duration_s" in suite) == timings
-            if timings:
-                assert isinstance(suite["duration_s"], float) and suite["duration_s"] >= 0
+            assert suite.get("duration_s") == (1.0 if timings else None)
 
 
 # (x1 + x2)^18 has 2^18 terms.  Under the twisted map the prefix matrices
@@ -757,12 +798,19 @@ def test_import_builds_no_parser():
     assert _fresh_process("-c", code) == (0, "0\ndx1\n6\n", "")
 
 
+def _untimed(result):
+    code, out, err = result
+    return code, re.sub(r"  \[\d+\.\d\ds\]$", "  [t s]", out, flags=re.M), err
+
+
 def test_no_parsed_state_carries_between_calls(capsys, tmp_path):
     config = tmp_path / "twist.json"
     config.write_text('{"n": 3, "preset": "scalar-twist", "twist": "2"}')
     sequence = [
         ("verify", "-n", "2", "--max-word-len", "0", "--suite", "d3", "--format", "json"),
         ("verify", "-n", "2", "--max-word-len", "0", "--format", "json"),
+        ("verify", "-n", "2", "--max-word-len", "0", "--suite", "d3", "--timings"),
+        ("verify", "-n", "2", "--max-word-len", "0", "--suite", "d3"),
         ("diff", "--mod-ideal", "-k", "3", "x1"),
         ("diff", "x1"),
         ("diff", "-k", "0", "x1"),  # argparse exits 2
@@ -779,9 +827,14 @@ def test_no_parsed_state_carries_between_calls(capsys, tmp_path):
             code = exc.code
         captured = capsys.readouterr()
         results.append((code, captured.out, captured.err))
-        assert results[-1] == _fresh_process("-m", "dcubed.cli", *argv), argv
+        # wall-clock suite timings differ from run to run, and only they
+        fresh = _fresh_process("-m", "dcubed.cli", *argv)
+        assert _untimed(results[-1]) == _untimed(fresh), argv
     # --suite appends to a default that no earlier call has filled
     assert len(json.loads(results[1][1])["suites"]) == 5
-    assert results[3] == (0, "dx1\n", "")
-    assert results[4][0] == 2
-    assert results[8][0] == 2 and "unknown generator 'x3' (n = 2)" in results[8][2]
+    # --timings times the one call that passes it
+    assert [line.endswith("s]") for line in _suite_lines(results[2][1])] == [True]
+    assert [line.endswith("s]") for line in _suite_lines(results[3][1])] == [False]
+    assert results[5] == (0, "dx1\n", "")
+    assert results[6][0] == 2
+    assert results[10][0] == 2 and "unknown generator 'x3' (n = 2)" in results[10][2]
