@@ -5,6 +5,11 @@ Subcommands: ``diff`` (iterated differential of an expression), ``reduce``
 ``member`` (ideal membership with witness), ``verify`` (run the identity
 check suites and emit a report).
 
+A membership verdict prints one way.  ``diff --mod-ideal`` prints the
+result as ``diff`` prints it, then the verdict as ``member`` prints it
+(its text lines after a latex result too; in json, one object holding
+both), and exits with ``member``'s code.
+
 A session starts from the ``--config`` file when one is given, else from
 the ``commutative`` preset; ``--preset`` and the other options override
 it, and :func:`dcubed.config.build_map` validates the result.  ``-k``,
@@ -96,8 +101,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("-k", type=int, choices=(1, 2, 3), default=1,
                         help="how many times to apply d (default 1)")
     p_diff.add_argument("--mod-ideal", action="store_true",
-                        help="append the ideal-membership verdict (with "
-                             "--format json, one object holding both)")
+                        help="after the result, print its ideal-membership "
+                             "verdict as member prints it (with --format "
+                             "json, one object holding both)")
 
     p_reduce = sub.add_parser("reduce", parents=[common],
                               help="normal form of an expression modulo the ideal")
@@ -178,6 +184,19 @@ def _witness_lines(witness, n):
     return lines
 
 
+def _verdict_lines(verdict, n) -> list[str]:
+    """A membership verdict as the text lines ``member`` prints."""
+    lines = [f"status: {verdict.status}"]
+    if verdict.is_member:
+        lines.append("witness:" if verdict.witness else "witness: (zero element)")
+        lines.extend(_witness_lines(verdict.witness, n))
+    elif verdict.residual is not None:
+        lines.append(f"residual: {format_tensor(verdict.residual)}")
+    if verdict.detail:
+        lines.append(f"detail: {verdict.detail}")
+    return lines
+
+
 def _verdict_obj(verdict) -> dict:
     """A membership verdict as the JSON object ``member --format json`` prints."""
     obj = {"status": verdict.status}
@@ -191,25 +210,18 @@ def _verdict_obj(verdict) -> dict:
 
 
 def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
-    expr = parse_expression(args.expr, ideal.calc)
-    result = d_power(ideal.calc, expr, args.k)
-    if args.mod_ideal and cfg.format == "json":
-        # one JSON document: the result and its verdict together
-        verdict = ideal.membership(result)
-        _emit(json.dumps({"result": tensor_to_obj(result),
-                          "membership": _verdict_obj(verdict)}, sort_keys=True))
-        return OUTCOMES[verdict.status].exit_code
-    _emit(_render(result, cfg.format))
+    result = d_power(ideal.calc, parse_expression(args.expr, ideal.calc), args.k)
+    one_document = args.mod_ideal and cfg.format == "json"
+    if not one_document:  # printed before the oracle runs
+        _emit(_render(result, cfg.format))
     if not args.mod_ideal:
         return EXIT_OK
     verdict = ideal.membership(result)
-    if verdict.is_member:
-        _emit("member of I_q")
-    elif verdict.status == "bound_exceeded":
-        _emit(f"membership inconclusive: {verdict.detail}")
-    else:
-        _emit("not a member of I_q at the given bounds",
-              f"residual: {format_tensor(verdict.residual)}")
+    if one_document:
+        _emit(json.dumps({"result": tensor_to_obj(result),
+                          "membership": _verdict_obj(verdict)}, sort_keys=True))
+    else:  # member has no latex form: its text lines follow a latex result too
+        _emit(*_verdict_lines(verdict, ideal.n))
     return OUTCOMES[verdict.status].exit_code
 
 
@@ -224,20 +236,11 @@ def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
 
 
 def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
-    expr = parse_expression(args.expr, ideal.calc)
-    verdict = ideal.membership(expr)
+    verdict = ideal.membership(parse_expression(args.expr, ideal.calc))
     if cfg.format == "json":
         _emit(json.dumps(_verdict_obj(verdict), sort_keys=True))
     else:
-        lines = [f"status: {verdict.status}"]
-        if verdict.is_member:
-            lines.append("witness:" if verdict.witness else "witness: (zero element)")
-            lines.extend(_witness_lines(verdict.witness, ideal.n))
-        elif verdict.residual is not None:
-            lines.append(f"residual: {format_tensor(verdict.residual)}")
-        if verdict.detail:
-            lines.append(f"detail: {verdict.detail}")
-        _emit(*lines)
+        _emit(*_verdict_lines(verdict, ideal.n))
     return OUTCOMES[verdict.status].exit_code
 
 

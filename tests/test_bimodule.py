@@ -166,6 +166,15 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         wrong_algebra = [[AlgebraElement.one(3) for _ in range(2)] for _ in range(2)]
         BimoduleMap(2, [good[0], wrong_algebra])
+    with pytest.raises(ValueError, match=r"^generator count must be >= 1$"):
+        BimoduleMap(0, [])
+
+
+def test_unknown_preset_names_the_presets():
+    message = "unknown preset 'no-such'; choose from ['commutative', 'constant', 'scalar-twist']"
+    with pytest.raises(ValueError) as exc:
+        preset_map("no-such", 2)
+    assert str(exc.value) == message
 
 
 def test_entry_degree_inspection():

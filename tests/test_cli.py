@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 import dcubed
 from dcubed.cli import main
@@ -33,30 +34,60 @@ def test_diff_first_order(capsys):
 
 
 @pytest.mark.parametrize("k, expr, flags, expected, lines", [
-    ("3", "x1", (), 0, ["0", "member of I_q"]),
+    ("3", "x1", (), 0, ["0", "status: member", "witness: (zero element)"]),
     ("1", "x1 x2", (), 1, ["dx1 * x2 + dx2 * x1",
-                           "not a member of I_q at the given bounds",
-                           "residual: dx1 * x2 + dx2 * x1"]),
+                           "status: not_member_at_bound",
+                           "residual: dx1 * x2 + dx2 * x1",
+                           "detail: irreducible remainder at grade 1, word degree 1"]),
     ("2", "x1 x2", ("--size-cap", "1"), 3, [
         "dx1 (*) dx2 * q + dx2 (*) dx1 * q + d2x1 * x2 + d2x2 * x1",
-        "membership inconclusive: spanning set for grade 2, word degree 0 "
-        "exceeds the size cap 1"]),
+        "status: bound_exceeded",
+        "detail: spanning set for grade 2, word degree 0 exceeds the size cap 1"]),
     ("1", "y1", (), 2, ["error: unknown name 'y1' (at position 0)"]),
     ("1", "d(x1", (), 2, ["error: expected ')' (at position 4)"]),
 ], ids=["member", "not-member", "inconclusive", "unknown-name", "unclosed"])
 def test_diff_mod_ideal_text(capsys, k, expr, flags, expected, lines):
-    # the result, then the verdict; an expression that does not parse
-    # prints one error line instead
+    # the result, then the verdict as member prints it; an expression that
+    # does not parse prints one error line instead
     code, out, err = run(capsys, "diff", "-k", k, expr, "--mod-ideal", *flags)
     assert code == expected
     assert (out + err).splitlines() == lines
+
+
+D3_VERDICT = ["status: member", "witness:",
+              "  (-1 - q) * [1] dx_d2x(1,2) [1]",
+              "  (-1) * [1] d2x_dx(1,2) [1]"]
 
 
 def test_diff_third_order_of_word(capsys):
     code, out, _ = run(capsys, "diff", "-k", "3", "x1 x2", "--mod-ideal",
                        "--preset", "commutative")
     assert code == 0
-    assert out.strip().splitlines()[-1] == "member of I_q"
+    assert out.splitlines()[1:] == D3_VERDICT
+
+
+def test_diff_mod_ideal_prints_the_result_before_the_oracle(capsys, tmp_path):
+    # the generator table of m(x^i) = (x1 + x2)^4 I passes MAX_TERMS when the
+    # oracle first builds it, after the result is out
+    entry = " ".join(["(x1 + x2)"] * 4)
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"n": 2, "xi_entries": [
+        [[entry, "0"], ["0", entry]], [[entry, "0"], ["0", entry]]]}))
+    code, out, err = run(capsys, "diff", "--config", str(config), "--mod-ideal", "dx1")
+    assert code == 3
+    assert out == "d2x1\n"
+    assert err == f"error: a product holds 8192 terms, more than MAX_TERMS = {MAX_TERMS}\n"
+
+
+def test_diff_mod_ideal_latex(capsys):
+    # member has no latex form: its text lines follow the latex result
+    code, out, _ = run(capsys, "diff", "-k", "3", "x1 x2", "--mod-ideal",
+                       "--format", "latex")
+    assert code == 0
+    assert out.splitlines() == [
+        r"-dx^{1}\otimes d^{2}x^{2}\,\left(1 + q\right) "
+        r"- dx^{2}\otimes d^{2}x^{1}\,\left(1 + q\right) "
+        r"- d^{2}x^{1}\otimes dx^{2} - d^{2}x^{2}\otimes dx^{1}", *D3_VERDICT]
 
 
 @pytest.mark.parametrize("k, expr, flags, expected", [
@@ -78,6 +109,57 @@ def test_diff_mod_ideal_json_is_one_document(capsys, k, expr, flags, expected):
                                  "--format", "json")
     assert member_code == expected
     assert doc["membership"] == json.loads(member)
+
+
+def _joined(items, separators, size):
+    """Text of 1 to `size` items, a separator drawn before each but the first."""
+    rest = st.lists(st.tuples(st.sampled_from(separators), items), max_size=size - 1)
+    return st.tuples(items, rest).map(lambda t: t[0] + "".join(s + i for s, i in t[1]))
+
+
+def _sums(factors, size=3):
+    """Expression text by the README grammar: a sum of up to `size` terms,
+    each up to `size` factors, joined by juxtaposition, `*` or a tensor sign."""
+    return _joined(_joined(factors, [" ", " * ", " (*) ", " ⊗ "], size), [" + ", " - "], size)
+
+
+def _signed(factors):
+    return st.tuples(st.sampled_from(["", "-"]), factors).map("".join)
+
+
+_index = st.sampled_from("12")
+_grade_zero = st.sampled_from(["2", "1/2", "q", "[3]_q"]) | _index.map("x{}".format)
+_coefficients = _sums(_signed(_grade_zero), size=2)
+# at most two letters, so that d^3 of an expression stays at grade <= 7
+EXPRESSIONS = _sums(_signed(
+    _grade_zero | _index.map("dx{}".format) | _index.map("d2x{}".format)
+    | _coefficients.map("d({})".format) | _coefficients.map("({})".format))) \
+    .filter(lambda e: e.count("d") <= 2)
+
+
+@seed(11)
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from("123"), EXPRESSIONS)
+def test_diff_mod_ideal_is_diff_then_member(capsys, preset, k, expr):
+    # capsys is read after every call, so no output crosses examples
+    flags = ("--preset", preset, "-n", "2")
+    code, diff, err = run(capsys, "diff", "-k", k, *flags, "--", expr)
+    mod_code, mod, mod_err = run(capsys, "diff", "-k", k, "--mod-ideal", *flags, "--", expr)
+    if code != 0:  # no result: the same error, and no verdict
+        assert (mod_code, mod, mod_err) == (code, diff, err)
+        assert code in (2, 3)
+        return
+    member_code, member, _ = run(capsys, "member", *flags, "--", diff.strip())
+    assert mod_code == member_code and mod_code in (0, 1, 3)
+    assert mod.splitlines() == diff.splitlines() + member.splitlines()
+    json_flags = (*flags, "--format", "json")
+    doc_code, doc, _ = run(capsys, "diff", "-k", k, "--mod-ideal", *json_flags, "--", expr)
+    assert doc_code == mod_code
+    _, result, _ = run(capsys, "diff", "-k", k, *json_flags, "--", expr)
+    _, verdict, _ = run(capsys, "member", *json_flags, "--", diff.strip())
+    assert json.loads(doc) == {"result": json.loads(result),
+                               "membership": json.loads(verdict)}
 
 
 def test_expression_with_leading_minus_after_double_dash(capsys):

@@ -12,7 +12,7 @@ from dcubed.parsing import (
     format_tensor, format_algebra, format_tensor_latex, tensor_to_obj,
 )
 
-from conftest import PRESET_NAMES, random_tensor, x
+from conftest import PRESET_NAMES, random_algebra, random_tensor, x
 
 
 @pytest.fixture
@@ -152,6 +152,15 @@ def test_format_zero_and_simple(calc):
     assert format_algebra(AlgebraElement.zero(2)) == "0"
     assert format_tensor(TensorElement.of_letter(2, 1, 1)) == "dx1"
     assert format_tensor(TensorElement.of_letter(2, 2, 2)) == "d2x2"
+
+
+def test_str_is_the_text_format():
+    rng = random.Random(7)
+    for _ in range(20):
+        a = random_algebra(rng, 2, 2, 3)
+        e = random_tensor(rng, 2, max_grade=2, max_word_len=2, max_terms=3)
+        assert str(a) == format_algebra(a)
+        assert str(e) == format_tensor(e)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

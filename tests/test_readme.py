@@ -41,5 +41,5 @@ def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
         if promised is not None:
             assert last == promised, line
             checked.append(promised)
-    assert checked == ["dx1", "member of I_q", "d2x1"]
+    assert checked == ["dx1", "  (-1) * [1] d2x_dx(1,2) [1]", "d2x1"]
     assert json.loads((tmp_path / "report.json").read_text())["summary"]["passed"]

@@ -131,6 +131,15 @@ def test_low_grades_have_expected_shapes():
         assert w == ((2, 1),) or [a for a, _ in w] == [1, 1]
 
 
+def test_max_word_degree():
+    # the longest coefficient word over every letter word; 0 for zero
+    assert TensorElement.zero(2).max_word_degree() == 0
+    assert TensorElement.of_algebra(AlgebraElement.scalar(2, Q)).max_word_degree() == 0
+    mixed = TensorElement.of_algebra(x(2, 1)) + dx(2, 2, x(2, 1) * x(2, 2) * x(2, 1)) \
+        + d2x(2, 1, x(2, 2) * x(2, 2) + AlgebraElement.one(2))
+    assert mixed.max_word_degree() == 3
+
+
 def test_mixed_generator_counts_rejected():
     m = preset_map("commutative", 2)
     with pytest.raises(ValueError):
