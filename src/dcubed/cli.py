@@ -10,17 +10,22 @@ result as ``diff`` prints it, then the verdict as ``member`` prints it
 (its text lines after a latex result too; in json, one object holding
 both), and exits with ``member``'s code.
 
-A session starts from the ``--config`` file when one is given, else from
-the ``commutative`` preset; ``--preset`` and the other options override
-it, and :func:`dcubed.config.build_map` validates the result.  ``-k``,
-``--format``, ``--suite`` and ``--max-word-len`` state their ranges as
-argparse ``choices``.  ``verify`` prints suite timings, in the text
+A session (the structure map and the oracle's bounds) starts from the
+``--config`` file when one is given, else from the ``commutative``
+preset; ``--preset`` and the other session options override it, and
+:func:`dcubed.config.build_map` validates the result.  ``--format`` and
+``verify --seed`` belong to the call alone: no config file holds them.
+``-k``, ``--format``, ``--suite`` and ``--max-word-len`` state their
+ranges as argparse ``choices``; each subcommand lists the formats it
+prints (``diff`` and ``reduce`` text, latex and json; ``member`` and
+``verify`` text and json).  ``verify`` prints suite timings, in the text
 report as in the JSON one, only with ``--timings``.
 
 Exit codes: 0 ok, 1 check failure / non-membership, 2 parse or config
 error, 3 inconclusive.  Inconclusive is a ``bound_exceeded`` verdict (an
 oracle system over the size cap, or with a column of more than
-``freealg.MAX_TERMS`` terms), or one ``error:`` line for a result scalar
+``freealg.MAX_TERMS`` terms; ``reduce`` prints it as one ``error:``
+line), or one ``error:`` line for a result scalar
 too long to print or any other product of more than ``MAX_TERMS`` terms:
 in the parser, in ``d`` or in the generator table.
 
@@ -46,7 +51,7 @@ from dataclasses import fields
 
 from .calculus import Calculus
 from .config import (
-    ConfigError, SessionConfig, FORMATS, MAX_WORD_LEN, build_map, load_config,
+    ConfigError, SessionConfig, MAX_WORD_LEN, build_map, load_config,
 )
 from .differential import d_power
 from .freealg import AlgebraElement, TermLimitError
@@ -62,7 +67,7 @@ from .verify import OUTCOMES, SUITES, run_suite
 EXIT_OK = OUTCOMES["member"].exit_code
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = OUTCOMES["bound_exceeded"].exit_code
-LATEX_COMMANDS = ("diff", "reduce")
+FORMATS = ("text", "latex", "json")
 
 
 @functools.cache
@@ -83,9 +88,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="generator count (default from config, else 2)")
     common.add_argument("--twist", metavar="EXPR",
                         help="scalar for the scalar-twist preset (default q)")
-    common.add_argument("--format", choices=FORMATS, dest="format",
-                        help="output format (default text); only diff and "
-                             "reduce print latex")
     common.add_argument("--word-bound", type=int, metavar="N",
                         help="coefficient word-degree bound for the "
                              "membership oracle (>= 0); read only for maps "
@@ -95,8 +97,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_diff = sub.add_parser("diff", parents=[common],
-                            help="apply the differential k times")
+    def subcommand(name, formats, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--format", choices=formats, default="text",
+                       help="output format (default text)")
+        return p
+
+    p_diff = subcommand("diff", FORMATS, "apply the differential k times")
     p_diff.add_argument("expr", help="expression to differentiate")
     p_diff.add_argument("-k", type=int, choices=(1, 2, 3), default=1,
                         help="how many times to apply d (default 1)")
@@ -105,16 +112,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "verdict as member prints it (with --format "
                              "json, one object holding both)")
 
-    p_reduce = sub.add_parser("reduce", parents=[common],
-                              help="normal form of an expression modulo the ideal")
-    p_reduce.add_argument("expr")
+    subcommand("reduce", FORMATS,
+               "normal form of an expression modulo the ideal").add_argument("expr")
+    subcommand("member", ("text", "json"),
+               "decide ideal membership, with witness").add_argument("expr")
 
-    p_member = sub.add_parser("member", parents=[common],
-                              help="decide ideal membership, with witness")
-    p_member.add_argument("expr")
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the identity check suites")
+    p_verify = subcommand("verify", ("text", "json"), "run the identity check suites")
     p_verify.add_argument("--suite", action="append", default=None,
                           choices=("all", *SUITES), metavar="NAME",
                           help=f"suite to run (repeatable): all, {', '.join(SUITES)}")
@@ -122,8 +125,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           help="write the JSON report to this file")
     p_verify.add_argument("--timings", action="store_true",
                           help="include wall-clock timings in the report")
-    p_verify.add_argument("--seed", type=int, metavar="N",
-                          help="seed for sampled checks")
+    p_verify.add_argument("--seed", type=int, default=0, metavar="N",
+                          help="seed for sampled checks (default 0)")
     p_verify.add_argument("--max-word-len", type=int, default=2,
                           choices=range(MAX_WORD_LEN + 1), metavar="MAX_WORD_LEN",
                           help="exhaustive word length for sampled checks "
@@ -136,16 +139,14 @@ def _session(args) -> SessionConfig:
     if args.preset is not None:
         cfg.preset = args.preset
         cfg.xi_entries = None
-    for name in ("n", "twist", "format", "seed"):
-        value = getattr(args, name, None)
+    for name in ("n", "twist"):
+        value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
     for bound in fields(cfg.bounds):
         value = getattr(args, bound.name)
         if value is not None:
             setattr(cfg.bounds, bound.name, value)
-    if cfg.format == "latex" and args.command not in LATEX_COMMANDS:
-        raise ConfigError(f"{args.command} prints text or json, not latex")
     return cfg
 
 
@@ -211,9 +212,9 @@ def _verdict_obj(verdict) -> dict:
 
 def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
     result = d_power(ideal.calc, parse_expression(args.expr, ideal.calc), args.k)
-    one_document = args.mod_ideal and cfg.format == "json"
+    one_document = args.mod_ideal and args.format == "json"
     if not one_document:  # printed before the oracle runs
-        _emit(_render(result, cfg.format))
+        _emit(_render(result, args.format))
     if not args.mod_ideal:
         return EXIT_OK
     verdict = ideal.membership(result)
@@ -228,16 +229,16 @@ def cmd_diff(args, cfg: SessionConfig, ideal: Ideal) -> int:
 def cmd_reduce(args, cfg: SessionConfig, ideal: Ideal) -> int:
     verdict = ideal.membership(parse_expression(args.expr, ideal.calc))
     if verdict.status == "bound_exceeded":
-        print(f"reduce inconclusive: {verdict.detail}", file=sys.stderr)
+        print(f"error: {verdict.detail}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     # a member has no residual: its normal form is zero
-    _emit(_render(verdict.residual or TensorElement.zero(ideal.n), cfg.format))
+    _emit(_render(verdict.residual or TensorElement.zero(ideal.n), args.format))
     return EXIT_OK
 
 
 def cmd_member(args, cfg: SessionConfig, ideal: Ideal) -> int:
     verdict = ideal.membership(parse_expression(args.expr, ideal.calc))
-    if cfg.format == "json":
+    if args.format == "json":
         _emit(json.dumps(_verdict_obj(verdict), sort_keys=True))
     else:
         _emit(*_verdict_lines(verdict, ideal.n))
@@ -251,10 +252,10 @@ def cmd_verify(args, cfg: SessionConfig, ideal: Ideal) -> int:
     except OSError as err:
         raise ConfigError(f"cannot write report: {err}") from None
     with handle or contextlib.nullcontext():
-        report = run_suite(ideal, suites, seed=cfg.seed,
+        report = run_suite(ideal, suites, seed=args.seed,
                            max_word_len=args.max_word_len, preset=cfg.preset or "custom")
         obj = report.to_dict(with_timing=args.timings)
-        if cfg.format == "json":
+        if args.format == "json":
             _emit(json.dumps(obj, sort_keys=True))
         else:
             _emit(report.to_text(with_timing=args.timings), end="")

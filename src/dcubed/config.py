@@ -1,22 +1,22 @@
 """Session configuration: JSON document plus command-line overrides.
 
+A session is its mathematics: the structure map and the oracle's bounds.
 A config file looks like::
 
     {
       "n": 2,
       "preset": "commutative",          // or "xi_entries": [[["x1","0"],...],...]
       "twist": "q",                     // scalar for the scalar-twist preset
-      "bounds": {"word_bound": null, "size_cap": null},
-      "format": "text",
-      "seed": 0
+      "bounds": {"word_bound": null, "size_cap": null}
     }
 
 ``xi_entries[i-1][j-1][k-1]`` is the expression for the coefficient on
 d^a x^k in  x^i * d^a x^j = sum_k d^a x^k * coeff; entries are plain algebra
-expressions (scalars, generators, + - *).  A preset, when present, wins over
-explicit entries.
+expressions (scalars, generators, + - *).  A config gives exactly one of
+``preset`` and ``xi_entries``.  The output format and the sampling seed
+belong to one call, so they are command-line flags only.
 
-``n``, ``seed`` and the bounds are plain JSON integers (``true`` is not
+``n`` and the bounds are plain JSON integers (``true`` is not
 one); ``word_bound`` is >= 0 and ``size_cap`` is >= 1.  A null or missing
 bound keeps its default from :class:`dcubed.ideal.Bounds` (for
 ``word_bound``, None: a bound derived per query).  Only a map on the
@@ -27,7 +27,7 @@ among them, ignores it.
 (a preset's zeros are one shared object).  ``verify
 --max-word-len`` is at most ``MAX_WORD_LEN`` = 6: the sampled checks take
 every word up to that length, n^len of them.  Unknown keys,
-``bounds.grade_bound`` among them, are rejected.
+``bounds.grade_bound``, ``format`` and ``seed`` among them, are rejected.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class ConfigError(Exception):
     pass
 
 
-FORMATS = ("text", "latex", "json")
 MAX_WORD_LEN = 6
 
 
@@ -59,27 +58,23 @@ class SessionConfig:
     twist: str = "q"
     xi_entries: list | None = None
     bounds: Bounds = field(default_factory=Bounds)
-    format: str = "text"
-    seed: int = 0
 
     def validate(self):
         """Raise ConfigError for any value the session cannot run with.
         Its one caller is :func:`build_map`, which every session passes
         through before it builds anything."""
-        if not _is_int(self.n) or not _is_int(self.seed):
-            raise ConfigError("n and seed must be integers")
+        if not _is_int(self.n):
+            raise ConfigError("n must be an integer")
         if not 1 <= self.n <= MAX_N:
             raise ConfigError(f"n must be between 1 and {MAX_N}")
         if not isinstance(self.twist, str):
             raise ConfigError("twist must be an expression string")
-        if self.preset is None and self.xi_entries is None:
-            raise ConfigError("either a preset or xi_entries must be given")
+        if (self.preset is None) == (self.xi_entries is None):
+            raise ConfigError("either a preset or xi_entries must be given, not both")
         if self.preset is not None and (not isinstance(self.preset, str)
                                         or self.preset not in PRESETS):
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}")
         size_cap = self.bounds.size_cap
         if not _is_int(size_cap) or size_cap < 1:
             raise ConfigError("bounds.size_cap must be an integer >= 1")

@@ -189,15 +189,15 @@ SCALAR_TYPES = (Scalar, int, Fraction)
 
 
 def _operand(value):
-    """The one operand rule of Q(q): ``value`` as a Scalar when it is one
-    of SCALAR_TYPES (an int or a Fraction is promoted), else None.
+    """The one operand rule of Q(q) for an operand that is not a Scalar:
+    one of the other SCALAR_TYPES (an int or a Fraction) is promoted to
+    one, anything else is None.
 
     The arithmetic operators and :meth:`Scalar.coerce` read it; ``+``,
     ``-``, ``*``, ``==`` and ``coerce`` test for a Scalar inline first, so
-    a Scalar operand, the common case, makes no call here.
+    a Scalar operand, the common case, makes no call here.  ``__rsub__``
+    is never handed one: a Scalar on the left subtracts by ``__sub__``.
     """
-    if isinstance(value, Scalar):
-        return value
     return Scalar(value) if isinstance(value, SCALAR_TYPES) else None
 
 

@@ -153,6 +153,16 @@ def test_diff_mod_ideal_is_diff_then_member(capsys, preset, k, expr):
     member_code, member, _ = run(capsys, "member", *flags, "--", diff.strip())
     assert mod_code == member_code and mod_code in (0, 1, 3)
     assert mod.splitlines() == diff.splitlines() + member.splitlines()
+    # reduce prints the residual member names, or one error: line for a
+    # verdict it cannot reach
+    reduce_code, reduced, reduce_err = run(capsys, "reduce", *flags, "--", diff.strip())
+    if reduce_code == 0:
+        residual = [line for line in member.splitlines() if line.startswith("residual: ")]
+        assert reduced == (residual[0][len("residual: "):] if residual else "0") + "\n"
+        assert member_code in (0, 1) and reduce_err == ""
+    else:
+        assert reduce_code == member_code == 3 and reduced == ""
+        assert reduce_err.startswith("error: ") and len(reduce_err.splitlines()) == 1
     json_flags = (*flags, "--format", "json")
     doc_code, doc, _ = run(capsys, "diff", "-k", k, "--mod-ideal", *json_flags, "--", expr)
     assert doc_code == mod_code
@@ -287,7 +297,8 @@ def test_reduce_inconclusive_with_tiny_cap(capsys):
                          "--preset", "commutative", "--size-cap", "1")
     assert code == 3
     assert out == ""
-    assert "size cap 1" in err
+    assert err == ("error: spanning set for grade 4, word degree 0 "
+                   "exceeds the size cap 1\n")
 
 
 def test_verify_all_suites(capsys, tmp_path):
@@ -383,7 +394,7 @@ def test_config_file_roundtrip(capsys, tmp_path):
     commutative_entries = [
         [[f"x{i}" if j == k else "0" for k in (1, 2)] for j in (1, 2)]
         for i in (1, 2)]
-    cfg = {"n": 2, "xi_entries": commutative_entries, "seed": 3}
+    cfg = {"n": 2, "xi_entries": commutative_entries}
     path = tmp_path / "session.json"
     path.write_text(json.dumps(cfg))
     code, out_custom, _ = run(capsys, "diff", "--config", str(path), "-k", "2",
@@ -493,6 +504,15 @@ def test_verify_json_text_and_exit_code_agree(capsys):
     assert data["summary"]["passed"] is False
 
 
+def refuses_latex(err, command):
+    """argparse's last line for `command --format latex`.  How the choices
+    are quoted differs between Python versions."""
+    prefix = f"dcubed {command}: error: argument --format: invalid choice: 'latex' "
+    last = err.splitlines()[-1]
+    assert last.startswith(prefix)
+    assert re.fullmatch(r"\(choose from '?text'?, '?json'?\)", last[len(prefix):])
+
+
 @pytest.mark.parametrize("flags", [
     ("member", "dx1 (*) dx2", "--grade-bound", "1"),
     ("member", "dx1 (*) dx2", "--word-bound", "x"),
@@ -501,13 +521,18 @@ def test_verify_json_text_and_exit_code_agree(capsys):
     ("verify", "--max-word-len", "7"),
     ("reduce", "dx1 (*) dx2", "--order", "asc"),
     ("reduce", "dx1 (*) dx2", "--max-steps", "5"),
+    ("member", "dx1", "--format", "latex"),
+    ("verify", "--format", "latex"),
 ])
 def test_bad_flags_exit_code(capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(list(flags))
     assert exc.value.code == 2
+    err = capsys.readouterr().err
     if "--max-word-len" in flags:  # out of its argparse choices
-        assert "argument --max-word-len: invalid choice" in capsys.readouterr().err
+        assert "argument --max-word-len: invalid choice" in err
+    if "latex" in flags:  # member and verify print text or json
+        refuses_latex(err, flags[0])
 
 
 @pytest.mark.parametrize("argv", [
@@ -554,12 +579,14 @@ def test_config_validation_exit_code(capsys, tmp_path, doc):
     ("[1]", "config document must be a JSON object"),
     ('{"preset": "commutative", "bounds": 3}', "bounds must be a JSON object"),
     ('{"n": 2}', "either a preset or xi_entries must be given"),
+    ('{"n": 1, "preset": "commutative", "xi_entries": [[["x1"]]]}',
+     "either a preset or xi_entries must be given, not both"),
     ('{"n": 1, "xi_entries": [[[1]]]}', "xi_entries[0][0][0] must be an expression string"),
-    ('{"preset": "commutative", "format": "xml"}', "format must be one of"),
+    ('{"preset": "commutative", "format": "xml"}', "unknown config keys: ['format']"),
     ('{"preset": "commutative",', "config is not valid JSON: "),
     (None, "cannot read config file: "),
-], ids=["not-an-object", "bounds-not-an-object", "no-map", "entry-not-a-string",
-        "unknown-format", "invalid-json", "missing-file"])
+], ids=["not-an-object", "bounds-not-an-object", "no-map", "both-maps",
+        "entry-not-a-string", "unknown-format", "invalid-json", "missing-file"])
 def test_config_rejection_exit_code(capsys, tmp_path, text, message):
     path = tmp_path / "session.json"
     if text is not None:  # None: no file at all
@@ -569,6 +596,25 @@ def test_config_rejection_exit_code(capsys, tmp_path, text, message):
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
+
+
+# m(x^i) swaps the letters: x^i * d^a x^1 = d^a x^2 * x^i and back
+SWAP_ENTRIES = [[["0", "x1"], ["x1", "0"]], [["0", "x2"], ["x2", "0"]]]
+
+
+@pytest.mark.parametrize("doc, flags, expected", [
+    ({"xi_entries": SWAP_ENTRIES}, (), (0, "dx1 * (x1 + x2)\n")),  # x1 dx2 = dx1 x1
+    ({"xi_entries": SWAP_ENTRIES}, ("--preset", "commutative"), (0, "dx1 * x2 + dx2 * x1\n")),
+    # a file with both maps is refused (see both-maps above), unless the flag
+    # replaces them
+    ({"preset": "commutative", "xi_entries": SWAP_ENTRIES}, ("--preset", "commutative"),
+     (0, "dx1 * x2 + dx2 * x1\n")),
+], ids=["entries", "entries-and-flag", "both-and-flag"])
+def test_preset_flag_replaces_the_files_map(capsys, tmp_path, doc, flags, expected):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "diff", "-k", "1", "x1 x2", "--config", str(path), *flags)
+    assert (code, out) == expected
 
 
 @pytest.mark.parametrize("preset", [(), ("--preset", "commutative")],
@@ -723,24 +769,31 @@ def test_member_details_name_the_bidegree(capsys):
                          ids=["member", "verify"])
 @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
 def test_latex_refused_where_nothing_prints_it(capsys, tmp_path, command, from_config):
+    # argparse states each subcommand's formats; a config holds no format
     if from_config:
         path = tmp_path / "session.json"
         path.write_text(json.dumps({"preset": "commutative", "format": "latex"}))
-        flags = ["--config", str(path)]
-    else:
-        flags = ["--format", "latex"]
-    code, out, err = run(capsys, *command, *flags)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {command[0]} prints text or json, not latex\n"
+        code, out, err = run(capsys, *command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown config keys: ['format']\n"
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--format", "latex"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    refuses_latex(captured.err, command[0])
 
 
 def test_latex_refusal_with_a_bad_value(capsys):
-    # either error may be named first; both exit 2 with one line
-    code, out, err = run(capsys, "member", "--format", "latex", "-n", "0", "dx1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # argparse refuses the format before -n 0 is read
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--format", "latex", "-n", "0", "dx1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    refuses_latex(captured.err, "member")
 
 
 def _suite_lines(text):

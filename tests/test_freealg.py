@@ -73,6 +73,21 @@ def test_scalar_interplay():
     assert Q - u == AlgebraElement.scalar(2, Q - 1) - x(2, 1)
 
 
+def test_non_scalar_operands_are_not_promoted():
+    # a string is neither an element nor a scalar: each operator declines it
+    u = x(2, 1)
+    with pytest.raises(TypeError):
+        "a" * u
+    with pytest.raises(TypeError):
+        u + "a"
+    assert (u == "a") is False and u != "a"
+
+
+def test_repr_names_the_class_and_terms():
+    assert repr(x(2, 1)) == \
+        "<AlgebraElement n=2 {(1,): Scalar(Fraction(1, 1), Fraction(0, 1))}>"
+
+
 def test_homogeneity_helpers():
     u = x(2, 1) + x(2, 2)
     assert AlgebraElement.scalar(2, Q).constant_value() == Q

@@ -43,3 +43,15 @@ def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
             checked.append(promised)
     assert checked == ["dx1", "  (-1) * [1] d2x_dx(1,2) [1]", "d2x1"]
     assert json.loads((tmp_path / "report.json").read_text())["summary"]["passed"]
+
+
+def test_readme_config_examples_run(capsys, tmp_path):
+    section = README.read_text().split("### Configuration file", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    for index, block in enumerate(blocks):
+        path = tmp_path / f"config{index}.json"
+        path.write_text(block)
+        json.loads(block)  # each example is one JSON document
+        assert main(["diff", "x1", "--config", str(path)]) == 0, block
+        assert capsys.readouterr().out == "dx1\n"
