@@ -129,8 +129,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           help="seed for sampled checks (default 0)")
     p_verify.add_argument("--max-word-len", type=int, default=2,
                           choices=range(MAX_WORD_LEN + 1), metavar="MAX_WORD_LEN",
-                          help="exhaustive word length for sampled checks "
-                               f"(0 to {MAX_WORD_LEN})")
+                          help="longest word of the grade-0 d3, congruences and "
+                               f"d2-binomial instances (0 to {MAX_WORD_LEN}); "
+                               "the other checks do not read it")
     return parser
 
 

@@ -25,8 +25,11 @@ among them, ignores it.
 ``n`` is at most :data:`dcubed.bimodule.MAX_N` = 64, from a file or from
 ``-n``: its generator matrices hold n^3 entries, built before any work starts
 (a preset's zeros are one shared object).  ``verify
---max-word-len`` is at most ``MAX_WORD_LEN`` = 6: the sampled checks take
-every word up to that length, n^len of them.  Unknown keys,
+--max-word-len`` is at most ``MAX_WORD_LEN`` = 6: the grade-0 instances of
+``d3`` and the instances of ``congruences`` and ``d2-binomial`` take every
+word up to that length, n^len of them; ``q-leibniz``, ``generator-diffs``,
+the letter instances of ``d3`` and the random samples do not read it.
+Unknown keys,
 ``bounds.grade_bound``, ``format`` and ``seed`` among them, are rejected.
 """
 

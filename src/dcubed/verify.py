@@ -183,22 +183,33 @@ def _scalar_coefficients_only(w: TensorElement) -> bool:
     return all(set(coeff.terms) <= {()} for coeff in w.terms.values())
 
 
-def check_q_leibniz(ideal: Ideal, omega: TensorElement,
-                    theta: TensorElement) -> CheckInstance:
-    """d(omega theta) - d(omega) theta - q^grade(omega) omega d(theta)."""
-    grade = omega.homogeneous_grade()
+def _leibniz_factor(calc, w: TensorElement) -> tuple:
+    """What the q-Leibniz check reads of one factor: (w, d(w), its text)."""
+    return w, d(calc, w), format_tensor(w)
+
+
+def _q_leibniz(ideal: Ideal, omega: tuple, theta: tuple) -> CheckInstance:
+    """The q-Leibniz check of two factors given by :func:`_leibniz_factor`."""
+    (w, dw, w_text), (t, dt, t_text) = omega, theta
+    grade = w.homogeneous_grade()
     if grade is None:
         raise ValueError("the left factor must be grade-homogeneous")
     calc, bmap = ideal.calc, ideal.calc.bmap
-    residual = d(calc, tensor_mul(bmap, omega, theta)) \
-        - tensor_mul(bmap, d(calc, omega), theta) \
-        - tensor_mul(bmap, omega, d(calc, theta)).scale(q_power(grade))
-    inputs = {"omega": format_tensor(omega), "theta": format_tensor(theta),
-              "grade": str(grade)}
-    raw_expected = theta.max_grade() == 0 or _scalar_coefficients_only(omega)
+    residual = d(calc, tensor_mul(bmap, w, t)) \
+        - tensor_mul(bmap, dw, t) \
+        - tensor_mul(bmap, w, dt).scale(q_power(grade))
+    inputs = {"omega": w_text, "theta": t_text, "grade": str(grade)}
+    raw_expected = t.max_grade() == 0 or _scalar_coefficients_only(w)
     if raw_expected:
         return _raw_instance("q-leibniz", inputs, residual)
     return _membership_instance(ideal, "q-leibniz", inputs, residual)
+
+
+def check_q_leibniz(ideal: Ideal, omega: TensorElement,
+                    theta: TensorElement) -> CheckInstance:
+    """d(omega theta) - d(omega) theta - q^grade(omega) omega d(theta)."""
+    return _q_leibniz(ideal, _leibniz_factor(ideal.calc, omega),
+                      _leibniz_factor(ideal.calc, theta))
 
 
 def check_d3(ideal: Ideal, w: TensorElement) -> CheckInstance:
@@ -221,18 +232,31 @@ def check_congruences(ideal: Ideal, v: AlgebraElement, j: int) -> list:
             for (family, k), residual in relations(ideal.calc, v, j).items()]
 
 
+def _binomial_factor(calc, u: AlgebraElement) -> tuple:
+    """What the d^2 binomial check reads of one factor:
+    (u as a tensor, d(u), d^2(u), its text)."""
+    tu = TensorElement.of_algebra(u)
+    du = d(calc, tu)
+    return tu, du, d(calc, du), format_algebra(u)
+
+
+def _d2_binomial(ideal: Ideal, u: tuple, v: tuple) -> CheckInstance:
+    """The d^2 binomial check of two factors given by :func:`_binomial_factor`."""
+    (tu, du, d2u, u_text), (tv, dv, d2v, v_text) = u, v
+    calc, bmap = ideal.calc, ideal.calc.bmap
+    residual = d_power(calc, tensor_mul(bmap, tu, tv), 2) \
+        - tensor_mul(bmap, d2u, tv) \
+        - tensor_mul(bmap, du, dv).scale(q_integer(2)) \
+        - tensor_mul(bmap, tu, d2v)
+    inputs = {"u": u_text, "v": v_text}
+    return _membership_instance(ideal, "d2-binomial", inputs, residual)
+
+
 def check_d2_binomial(ideal: Ideal, u: AlgebraElement,
                       v: AlgebraElement) -> CheckInstance:
     """d^2(uv) = d^2(u) v + [2]_q d(u) d(v) + u d^2(v)  modulo the ideal."""
-    calc, bmap = ideal.calc, ideal.calc.bmap
-    tu, tv = TensorElement.of_algebra(u), TensorElement.of_algebra(v)
-    du, dv = d(calc, tu), d(calc, tv)
-    residual = d_power(calc, tensor_mul(bmap, tu, tv), 2) \
-        - tensor_mul(bmap, d(calc, du), tv) \
-        - tensor_mul(bmap, du, dv).scale(q_integer(2)) \
-        - tensor_mul(bmap, tu, d(calc, dv))
-    inputs = {"u": format_algebra(u), "v": format_algebra(v)}
-    return _membership_instance(ideal, "d2-binomial", inputs, residual)
+    return _d2_binomial(ideal, _binomial_factor(ideal.calc, u),
+                        _binomial_factor(ideal.calc, v))
 
 
 def check_generator_diffs(ideal: Ideal, i: int, j: int) -> list:
@@ -301,8 +325,11 @@ def _q_leibniz_suite(ideal, rng, max_word_len):
     thetas += [TensorElement.of_letter(n, 1, j, AlgebraElement.generator(n, k))
                for j in indices for k in indices]
     thetas += [TensorElement.of_letter(n, 2, j) for j in indices]
+    # each factor is differentiated and printed once, not once per pair
+    omegas = [_leibniz_factor(ideal.calc, omega) for omega in omegas]
+    thetas = [_leibniz_factor(ideal.calc, theta) for theta in thetas]
     for omega, theta in itertools.product(omegas, thetas):
-        yield check_q_leibniz(ideal, omega, theta)
+        yield _q_leibniz(ideal, omega, theta)
     for _ in range(RANDOM_SAMPLES):
         omega = _random_monomial_form(rng, n, 2, 1)
         yield check_q_leibniz(ideal, omega, _random_monomial_form(rng, n, 1, 1))
@@ -328,9 +355,11 @@ def _congruences_suite(ideal, rng, max_word_len):
 
 def _d2_binomial_suite(ideal, rng, max_word_len):
     n = ideal.n
-    for wu, wv in itertools.product(_all_words(n, max_word_len), repeat=2):
-        yield check_d2_binomial(ideal, AlgebraElement.monomial(n, wu),
-                                AlgebraElement.monomial(n, wv))
+    # each word is differentiated and printed once, not once per pair
+    factors = [_binomial_factor(ideal.calc, AlgebraElement.monomial(n, word))
+               for word in _all_words(n, max_word_len)]
+    for u, v in itertools.product(factors, repeat=2):
+        yield _d2_binomial(ideal, u, v)
 
 
 def _generator_diffs_suite(ideal, rng, max_word_len):

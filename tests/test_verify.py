@@ -9,8 +9,9 @@ from dcubed.bimodule import BimoduleMap, preset_map
 from dcubed.calculus import Calculus
 from dcubed.tensoralg import TensorElement
 from dcubed.differential import d
-from dcubed import verify
+from dcubed import differential, verify
 from dcubed.ideal import Bounds, Ideal, relations
+from dcubed.parsing import parse_algebra, parse_expression
 from dcubed.verify import (
     check_q_leibniz, check_d3, check_congruences, check_d2_binomial,
     check_generator_diffs, run_suite, SUITES,
@@ -195,6 +196,51 @@ def test_run_suite_selects_one_entry_of_the_table(commutative_all, name):
 def test_run_suite_runs_a_repeated_name_once(commutative_ideal):
     report = run_suite(commutative_ideal, ("d3", "d3"), max_word_len=1)
     assert [r.name for r in report.reports] == ["d3"]
+
+
+def test_pair_suites_differentiate_each_input_once(commutative_ideal, monkeypatch):
+    # d_power calls differential.d, so both names are counted
+    calls = []
+
+    def counted(calc, w):
+        calls.append(w)
+        return d(calc, w)
+
+    monkeypatch.setattr(verify, "d", counted)
+    monkeypatch.setattr(differential, "d", counted)
+
+    def d_calls(name):
+        calls.clear()
+        [report] = run_suite(commutative_ideal, (name,), max_word_len=1).reports
+        return len(report.instances), len(calls)
+
+    # omegas x^i, dx^i, d2x^i, dx^i dx^j: 10; thetas x^j, dx^j x^k, d2x^j: 8
+    instances, count = d_calls("q-leibniz")
+    assert instances == 10 * 8 + verify.RANDOM_SAMPLES
+    assert count == 10 * 8 + 10 + 8 + 3 * verify.RANDOM_SAMPLES
+    # the words 1, x1, x2: d^2 of each product, d and d^2 of each word
+    instances, count = d_calls("d2-binomial")
+    assert instances == 3 * 3
+    assert count == 2 * 3 * 3 + 2 * 3
+
+
+def test_pair_suites_agree_with_the_public_checks(preset_ideal):
+    calc = preset_ideal.calc
+    report = run_suite(preset_ideal, ("q-leibniz", "d2-binomial"), seed=3, max_word_len=1)
+    assert all(suite.instances for suite in report.reports)
+    for suite in report.reports:
+        for inst in suite.instances:
+            if suite.name == "q-leibniz":
+                one = check_q_leibniz(preset_ideal,
+                                      parse_expression(inst.inputs["omega"], calc),
+                                      parse_expression(inst.inputs["theta"], calc))
+            else:
+                one = check_d2_binomial(preset_ideal,
+                                        parse_algebra(inst.inputs["u"], 2),
+                                        parse_algebra(inst.inputs["v"], 2))
+            assert inst.to_dict() == one.to_dict()
+    with pytest.raises(ValueError):
+        check_q_leibniz(preset_ideal, grade0(x(2, 1)) + dx(1), dx(1))
 
 
 def random_map(seed, degree):
